@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <csignal>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 
@@ -18,7 +20,6 @@
 #include "launcher/fault_backend.hh"
 #include "launcher/launcher.hh"
 #include "launcher/reproduce.hh"
-#include "launcher/resume.hh"
 #include "launcher/retry.hh"
 #include "launcher/suite.hh"
 #include "record/journal.hh"
@@ -28,7 +29,6 @@
 #include "json/parser.hh"
 #include "record/csv.hh"
 #include "record/metadata.hh"
-#include "record/sysinfo.hh"
 #include "report/compare.hh"
 #include "serve/client.hh"
 #include "serve/daemon.hh"
@@ -249,22 +249,26 @@ exit codes: 0 ok, 1 error (compare --against: regression to
 )";
 
 /**
- * Parse --jobs (>= 1). Returns false (and reports) on bad input;
- * leaves @p jobs untouched when the flag is absent.
+ * Parse the unsigned integer flag --@p key (>= @p minimum) into
+ * @p target. Returns false (and reports) on bad input; leaves
+ * @p target untouched when the flag is absent.
  */
+template <typename T>
 bool
-parseJobs(const ParsedArgs &args, std::ostream &err, const char *cmd,
-          size_t &jobs)
+parseCount(const ParsedArgs &args, std::ostream &err, const char *cmd,
+           const char *key, uint64_t minimum, T &target)
 {
-    std::string value = args.get("jobs");
+    std::string value = args.get(key);
     if (value.empty())
         return true;
-    auto parsed = util::parseLong(value);
-    if (!parsed || *parsed < 1) {
-        err << cmd << ": --jobs must be an integer >= 1\n";
+    auto parsed = util::parseUint64(value);
+    if (!parsed || *parsed < minimum ||
+        *parsed > static_cast<uint64_t>(std::numeric_limits<T>::max())) {
+        err << cmd << ": --" << key << " must be an integer >= "
+            << minimum << "\n";
         return false;
     }
-    jobs = static_cast<size_t>(*parsed);
+    target = static_cast<T>(*parsed);
     return true;
 }
 
@@ -358,15 +362,12 @@ bool
 applyFaultToleranceFlags(const ParsedArgs &args, std::ostream &err,
                          launcher::ReproSpec &spec)
 {
-    std::string retries = args.get("retries");
-    if (!retries.empty()) {
-        auto parsed = util::parseLong(retries);
-        if (!parsed || *parsed < 0) {
-            err << "run: --retries must be an integer >= 0\n";
-            return false;
-        }
-        spec.retry.maxAttempts = static_cast<size_t>(*parsed) + 1;
-    }
+    size_t retries = spec.retry.maxAttempts - 1;
+    if (!parseCount(args, err, "run", "retries", 0, retries) ||
+        !parseCount(args, err, "run", "max-failures", 0,
+                    spec.maxFailures))
+        return false;
+    spec.retry.maxAttempts = retries + 1;
     std::string backoff = args.get("retry-backoff");
     if (!backoff.empty()) {
         auto parsed = util::parseDouble(backoff);
@@ -375,15 +376,6 @@ applyFaultToleranceFlags(const ParsedArgs &args, std::ostream &err,
             return false;
         }
         spec.retry.backoffBaseSeconds = *parsed;
-    }
-    std::string max_failures = args.get("max-failures");
-    if (!max_failures.empty()) {
-        auto parsed = util::parseLong(max_failures);
-        if (!parsed || *parsed < 0) {
-            err << "run: --max-failures must be an integer >= 0\n";
-            return false;
-        }
-        spec.maxFailures = static_cast<size_t>(*parsed);
     }
     std::string rate = args.get("max-failure-rate");
     if (!rate.empty()) {
@@ -404,61 +396,33 @@ applyFaultToleranceFlags(const ParsedArgs &args, std::ostream &err,
 }
 
 /**
- * Shared tail of every `sharp run` variant: launch (with journal,
- * resume state, and interrupt handling wired in), report, save, and
- * map the outcome to an exit code (0 ok, 3 failure-policy abort,
- * 130 interrupted).
+ * Shared tail of every `sharp run` variant: run the campaign with
+ * interrupt handling wired in, report, save, and map the outcome to an
+ * exit code (0 ok, 3 failure-policy abort, 130 interrupted). An empty
+ * @p label names the report after the spec that ran.
  */
 int
-executeRun(const launcher::ReproSpec &spec, const ParsedArgs &args,
-           std::ostream &out, std::ostream &err,
-           const std::string &label,
-           const std::string &resumeJournalPath,
-           const launcher::ResumeState *resume)
+executeRun(const launcher::ReproSpec &spec, launcher::CampaignIo io,
+           const ParsedArgs &args, std::ostream &out, std::ostream &err,
+           std::string label)
 {
-    launcher::LaunchOptions options = spec.launchOptions();
-
-    std::unique_ptr<record::RunJournal> journal;
-    std::string journal_path = resumeJournalPath;
-    if (journal_path.empty() && args.has("journal")) {
-        journal_path = args.get("journal");
-        if (journal_path.empty()) {
-            std::string base = args.get("out");
-            if (base.empty()) {
-                err << "run: --journal needs a path (or --out to "
-                       "derive one from)\n";
-                return 2;
-            }
-            journal_path = base + ".journal.jsonl";
-        }
-    }
-    if (!journal_path.empty()) {
-        // Fresh campaigns truncate: appending to a leftover journal
-        // at the same path would mix two campaigns' rounds and break
-        // a later --resume. Only a resume may append.
-        journal = std::make_unique<record::RunJournal>(
-            journal_path, resume ? record::JournalMode::Resume
-                                 : record::JournalMode::Fresh);
-        if (!resume)
-            journal->writeSpec(spec.toJson());
-        options.journal = journal.get();
-    }
-    options.resume = resume;
-    options.interruptFlag = &g_interrupted;
+    io.interruptFlag = &g_interrupted;
     InterruptGuard guard;
+    launcher::CampaignRun run = launcher::runCampaign(spec, io);
+    const launcher::LaunchReport &result = run.report;
+    if (label.empty())
+        label = run.spec.workload.empty() ? run.spec.backendKind
+                                          : run.spec.workload;
 
-    launcher::Launcher l(launcher::makeBackend(spec),
-                         spec.experiment.makeRule(), options);
-    launcher::LaunchReport result = l.launch();
-    launcher::annotate(result.log, spec);
-    if (spec.backendKind == "sim" || spec.backendKind == "sim-phased" ||
-        spec.backendKind == "faas") {
-        result.log.setSystemInfo(record::describeSimulatedMachine(
-            sim::machineById(spec.machines.front())));
+    if (run.replayed) {
+        out << "campaign in '" << io.journalPath
+            << "' already completed; replayed ";
+    } else {
+        out << (io.journalMode == record::JournalMode::Resume
+                    ? "resumed to "
+                    : "collected ");
     }
-
-    out << (resume ? "resumed to " : "collected ")
-        << result.series.size() << " samples ("
+    out << result.series.size() << " samples ("
         << result.finalDecision.reason << ")\n\n";
     if (result.series.size() >= 2) {
         auto analysis = report::DistributionReport::analyze(
@@ -482,13 +446,13 @@ executeRun(const launcher::ReproSpec &spec, const ParsedArgs &args,
         return 3;
     }
     if (result.interrupted) {
-        if (journal_path.empty()) {
+        if (io.journalPath.empty()) {
             out << "interrupted; no journal was attached, so the "
                    "campaign cannot be resumed (pass --journal next "
                    "time)\n";
         } else {
             out << "interrupted; resume with: sharp run --resume "
-                << journal_path << "\n";
+                << io.journalPath << "\n";
         }
         return 130;
     }
@@ -499,22 +463,24 @@ int
 cmdRun(const ParsedArgs &args, std::ostream &out, std::ostream &err)
 {
     // Resume path: everything comes from the journal's spec header.
+    launcher::CampaignIo io;
     std::string resume_flag = args.get("resume");
     if (!resume_flag.empty()) {
-        std::string journal_path = resolveJournalPath(resume_flag);
-        launcher::ResumedCampaign campaign =
-            launcher::loadResumedCampaign(journal_path);
-        if (campaign.done) {
-            out << "campaign in '" << journal_path
-                << "' already completed; nothing to resume\n";
-            return 0;
+        io.journalPath = resolveJournalPath(resume_flag);
+        io.journalMode = record::JournalMode::Resume;
+        return executeRun({}, io, args, out, err, "");
+    }
+    if (args.has("journal")) {
+        io.journalPath = args.get("journal");
+        if (io.journalPath.empty()) {
+            std::string base = args.get("out");
+            if (base.empty()) {
+                err << "run: --journal needs a path (or --out to "
+                       "derive one from)\n";
+                return 2;
+            }
+            io.journalPath = base + ".journal.jsonl";
         }
-        launcher::ReproSpec spec =
-            launcher::ReproSpec::fromJson(campaign.spec);
-        return executeRun(spec, args, out, err,
-                          spec.workload.empty() ? spec.backendKind
-                                                : spec.workload,
-                          journal_path, &campaign.state);
     }
 
     // A JSON config file describes the entire run; command-line flags
@@ -523,12 +489,10 @@ cmdRun(const ParsedArgs &args, std::ostream &out, std::ostream &err)
     if (!config_path.empty()) {
         launcher::ReproSpec spec =
             launcher::ReproSpec::fromJson(json::parseFile(config_path));
-        if (!parseJobs(args, err, "run", spec.jobs))
+        if (!parseCount(args, err, "run", "jobs", 1, spec.jobs) ||
+            !applyFaultToleranceFlags(args, err, spec))
             return 2;
-        if (!applyFaultToleranceFlags(args, err, spec))
-            return 2;
-        return executeRun(spec, args, out, err, spec.workload, "",
-                          nullptr);
+        return executeRun(spec, io, args, out, err, spec.workload);
     }
 
     std::string workload = args.get("workload");
@@ -539,29 +503,6 @@ cmdRun(const ParsedArgs &args, std::ostream &out, std::ostream &err)
         return 2;
     }
     std::string machine_id = args.get("machine", "machine1");
-    std::string rule_name = args.get("rule", "ks");
-
-    core::StoppingRuleFactory::Params params;
-    for (const char *key : {"threshold", "level", "count", "min",
-                            "quantile", "prominence"}) {
-        std::string value = args.get(key);
-        if (!value.empty()) {
-            auto parsed = util::parseDouble(value);
-            if (!parsed) {
-                err << "run: --" << key << " must be a number\n";
-                return 2;
-            }
-            params[key] = *parsed;
-        }
-    }
-
-    auto parse_count = [&](const char *key, long fallback) {
-        std::string value = args.get(key);
-        if (value.empty())
-            return fallback;
-        auto parsed = util::parseLong(value);
-        return parsed ? *parsed : fallback;
-    };
 
     launcher::ReproSpec spec;
     if (!scenario_path.empty()) {
@@ -572,23 +513,34 @@ cmdRun(const ParsedArgs &args, std::ostream &out, std::ostream &err)
         spec.workload = workload;
         spec.machines = {machine_id};
     }
-    spec.day = static_cast<int>(parse_count("day", 0));
-    spec.seed = static_cast<uint64_t>(parse_count("seed", 1));
-    spec.concurrency =
-        static_cast<size_t>(parse_count("concurrency", 1));
-    if (!parseJobs(args, err, "run", spec.jobs))
-        return 2;
-    spec.experiment.ruleName = rule_name;
-    spec.experiment.ruleParams = params;
-    spec.experiment.options.maxSamples =
-        static_cast<size_t>(parse_count("max", 2000));
-    if (!applyFaultToleranceFlags(args, err, spec))
+    spec.experiment.ruleName = args.get("rule", "ks");
+    for (const char *key : {"threshold", "level", "count", "min",
+                            "quantile", "prominence"}) {
+        std::string value = args.get(key);
+        if (!value.empty()) {
+            auto parsed = util::parseDouble(value);
+            if (!parsed) {
+                err << "run: --" << key << " must be a number\n";
+                return 2;
+            }
+            spec.experiment.ruleParams[key] = *parsed;
+        }
+    }
+    spec.experiment.options.maxSamples = 2000;
+    if (!parseCount(args, err, "run", "day", 0, spec.day) ||
+        !parseCount(args, err, "run", "seed", 0, spec.seed) ||
+        !parseCount(args, err, "run", "concurrency", 1,
+                    spec.concurrency) ||
+        !parseCount(args, err, "run", "jobs", 1, spec.jobs) ||
+        !parseCount(args, err, "run", "max", 2,
+                    spec.experiment.options.maxSamples) ||
+        !applyFaultToleranceFlags(args, err, spec))
         return 2;
 
     std::string label = scenario_path.empty() ?
                             workload + " @ " + machine_id :
                             scenario_path;
-    return executeRun(spec, args, out, err, label, "", nullptr);
+    return executeRun(spec, io, args, out, err, label);
 }
 
 int
@@ -615,7 +567,9 @@ cmdReproduce(const ParsedArgs &args, std::ostream &out,
                    "may differ\n";
         }
     }
-    launcher::LaunchReport result = launcher::reproduce(doc);
+    launcher::LaunchReport result =
+        launcher::runCampaign(launcher::reproSpecFromMetadata(doc))
+            .report;
     out << "reproduced " << result.series.size() << " samples ("
         << result.finalDecision.reason << ")\n";
     auto analysis = report::DistributionReport::analyze(
@@ -700,7 +654,8 @@ cmdBaseline(const ParsedArgs &args, std::ostream &out, std::ostream &err)
     compare::CaptureOptions options;
     options.metric = args.get("metric", options.metric);
     options.groupBy = args.get("group-by", options.groupBy);
-    if (!parseJobs(args, err, "baseline capture", options.jobs))
+    if (!parseCount(args, err, "baseline capture", "jobs", 1,
+                    options.jobs))
         return 2;
 
     try {
@@ -767,21 +722,9 @@ cmdCompareAgainst(const ParsedArgs &args, std::ostream &out,
         !parse_flag("level", tolerances.level)) {
         return 2;
     }
-    auto parse_count = [&](const char *key, auto &target) {
-        std::string value = args.get(key);
-        if (value.empty())
-            return true;
-        auto parsed = util::parseLong(value);
-        if (!parsed || *parsed < 0) {
-            err << "compare: --" << key
-                << " must be a non-negative integer\n";
-            return false;
-        }
-        target = static_cast<std::decay_t<decltype(target)>>(*parsed);
-        return true;
-    };
-    if (!parse_count("resamples", tolerances.resamples) ||
-        !parse_count("seed", tolerances.seed)) {
+    if (!parseCount(args, err, "compare", "resamples", 0,
+                    tolerances.resamples) ||
+        !parseCount(args, err, "compare", "seed", 0, tolerances.seed)) {
         return 2;
     }
 
@@ -794,7 +737,7 @@ cmdCompareAgainst(const ParsedArgs &args, std::ostream &out,
         capture.metric = args.get("metric", baseline.metric);
         if (!baseline.groupBy.empty())
             capture.groupBy = baseline.groupBy;
-        if (!parseJobs(args, err, "compare", capture.jobs))
+        if (!parseCount(args, err, "compare", "jobs", 1, capture.jobs))
             return 2;
         compare::BaselineBundle candidate =
             compare::captureBaseline(args.positional, capture);
@@ -874,14 +817,9 @@ cmdMicro(const ParsedArgs &args, std::ostream &out, std::ostream &err)
     options.warmupRounds = 3;
     options.primaryMetric = "value";
     options.maxSamples = 500;
-    if (!parseJobs(args, err, "micro", options.jobs))
+    if (!parseCount(args, err, "micro", "jobs", 1, options.jobs) ||
+        !parseCount(args, err, "micro", "max", 2, options.maxSamples))
         return 2;
-    std::string max_flag = args.get("max");
-    if (!max_flag.empty()) {
-        auto parsed = util::parseLong(max_flag);
-        if (parsed && *parsed >= 2)
-            options.maxSamples = static_cast<size_t>(*parsed);
-    }
 
     auto backend = std::make_shared<micro::MicroBackend>(probe);
     launcher::Launcher l(backend, std::move(rule), options);
@@ -914,36 +852,17 @@ cmdSuite(const ParsedArgs &args, std::ostream &out, std::ostream &err)
             config.ruleParams[key] = *parsed;
         }
     }
-    std::string max_flag = args.get("max");
-    if (!max_flag.empty()) {
-        auto parsed = util::parseLong(max_flag);
-        if (!parsed || *parsed < 2) {
-            err << "suite: --max must be an integer >= 2\n";
-            return 2;
-        }
-        config.options.maxSamples = static_cast<size_t>(*parsed);
-    } else {
-        config.options.maxSamples = 1000;
-    }
-    std::string seed_flag = args.get("seed");
-    if (!seed_flag.empty()) {
-        auto parsed = util::parseLong(seed_flag);
-        if (parsed && *parsed >= 0)
-            config.seed = static_cast<uint64_t>(*parsed);
-    }
+    config.options.maxSamples = 1000;
     size_t jobs = 1;
-    if (!parseJobs(args, err, "suite", jobs))
+    size_t retries = 0;
+    if (!parseCount(args, err, "suite", "max", 2,
+                    config.options.maxSamples) ||
+        !parseCount(args, err, "suite", "seed", 0, config.seed) ||
+        !parseCount(args, err, "suite", "jobs", 1, jobs) ||
+        !parseCount(args, err, "suite", "retries", 0, retries))
         return 2;
     launcher::RetryPolicy retry;
-    std::string retries_flag = args.get("retries");
-    if (!retries_flag.empty()) {
-        auto parsed = util::parseLong(retries_flag);
-        if (!parsed || *parsed < 0) {
-            err << "suite: --retries must be an integer >= 0\n";
-            return 2;
-        }
-        retry.maxAttempts = static_cast<size_t>(*parsed) + 1;
-    }
+    retry.maxAttempts = retries + 1;
     config.makeRule(); // validate eagerly
 
     std::string scenarios_dir = args.get("scenarios");
@@ -1033,33 +952,15 @@ cmdCalibrate(const ParsedArgs &args, std::ostream &out,
              std::ostream &err)
 {
     calibrate::CalibrationConfig config;
-    auto parse_count = [&](const char *key, size_t &target,
-                           long minimum) {
-        std::string value = args.get(key);
-        if (value.empty())
-            return true;
-        auto parsed = util::parseLong(value);
-        if (!parsed || *parsed < minimum) {
-            err << "calibrate: --" << key << " must be an integer >= "
-                << minimum << "\n";
-            return false;
-        }
-        target = static_cast<size_t>(*parsed);
-        return true;
-    };
-    std::string seed_flag = args.get("seed");
-    if (!seed_flag.empty()) {
-        auto parsed = util::parseLong(seed_flag);
-        if (!parsed || *parsed < 0) {
-            err << "calibrate: --seed must be an integer >= 0\n";
-            return 2;
-        }
-        config.baseSeed = static_cast<uint64_t>(*parsed);
-    }
-    if (!parse_count("seeds", config.seedsPerCell, 1) ||
-        !parse_count("max", config.maxSamples, 2) ||
-        !parse_count("truth", config.truthSamples, 2) ||
-        !parseJobs(args, err, "calibrate", config.jobs)) {
+    if (!parseCount(args, err, "calibrate", "seed", 0,
+                    config.baseSeed) ||
+        !parseCount(args, err, "calibrate", "seeds", 1,
+                    config.seedsPerCell) ||
+        !parseCount(args, err, "calibrate", "max", 2,
+                    config.maxSamples) ||
+        !parseCount(args, err, "calibrate", "truth", 2,
+                    config.truthSamples) ||
+        !parseCount(args, err, "calibrate", "jobs", 1, config.jobs)) {
         return 2;
     }
     auto parse_list = [&](const char *key,
@@ -1335,28 +1236,12 @@ cmdServe(const ParsedArgs &args, std::ostream &out, std::ostream &err)
         err << "serve: --socket and --state-dir are required\n";
         return 2;
     }
-    auto parse_size = [&](const char *key, size_t fallback,
-                          long floor) -> long {
-        std::string value = args.get(key);
-        if (value.empty())
-            return static_cast<long>(fallback);
-        auto parsed = util::parseLong(value);
-        if (!parsed || *parsed < floor)
-            return -1;
-        return *parsed;
-    };
-    long shards = parse_size("shards", options.shards, 1);
-    long queued =
-        parse_size("max-queued", options.maxQueuedPerTenant, 1);
-    long failovers = parse_size("max-failovers", options.maxFailovers, 0);
-    if (shards < 0 || queued < 0 || failovers < 0) {
-        err << "serve: --shards/--max-queued must be integers >= 1, "
-               "--max-failovers an integer >= 0\n";
+    if (!parseCount(args, err, "serve", "shards", 1, options.shards) ||
+        !parseCount(args, err, "serve", "max-queued", 1,
+                    options.maxQueuedPerTenant) ||
+        !parseCount(args, err, "serve", "max-failovers", 0,
+                    options.maxFailovers))
         return 2;
-    }
-    options.shards = static_cast<size_t>(shards);
-    options.maxQueuedPerTenant = static_cast<size_t>(queued);
-    options.maxFailovers = static_cast<size_t>(failovers);
     std::string deadline = args.get("round-deadline");
     if (!deadline.empty()) {
         auto parsed = util::parseDouble(deadline);

@@ -1,8 +1,8 @@
 #include "json/value.hh"
 
-#include <cerrno>
 #include <cmath>
-#include <cstdlib>
+
+#include "util/string_utils.hh"
 
 namespace sharp
 {
@@ -187,19 +187,10 @@ Value::getUint64(const std::string &key, uint64_t fallback) const
         return static_cast<uint64_t>(num);
     }
     if (value->isString()) {
-        const std::string &text = value->asString();
-        if (text.empty() ||
-            text.find_first_not_of("0123456789") != std::string::npos)
-            throw TypeError("member '" + key +
-                            "' is not an unsigned decimal");
-        errno = 0;
-        char *end = nullptr;
-        unsigned long long parsed =
-            std::strtoull(text.c_str(), &end, 10);
-        if (errno == ERANGE || end != text.c_str() + text.size())
-            throw TypeError("member '" + key +
-                            "' overflows 64 bits");
-        return parsed;
+        if (auto parsed = util::parseUint64(value->asString()))
+            return *parsed;
+        throw TypeError("member '" + key +
+                        "' is not an unsigned 64-bit decimal");
     }
     throw TypeError("member '" + key +
                     "' must be a number or decimal string");

@@ -9,8 +9,10 @@
 #include "json/writer.hh"
 #include "launcher/faas_backend.hh"
 #include "launcher/local_backend.hh"
+#include "launcher/resume.hh"
 #include "launcher/scenario_backend.hh"
 #include "launcher/sim_backend.hh"
+#include "record/sysinfo.hh"
 #include "simd/dispatch.hh"
 #include "sim/faas.hh"
 #include "sim/machine.hh"
@@ -450,14 +452,14 @@ reproSpecFromMetadata(const record::MetadataDocument &doc)
             spec.machines.push_back(machine);
     }
     auto day = util::parseLong(require("repro_day"));
-    auto seed = util::parseLong(require("repro_seed"));
+    auto seed = util::parseUint64(require("repro_seed"));
     auto concurrency = util::parseLong(require("repro_concurrency"));
-    if (!day || !seed || seed < 0 || !concurrency || *concurrency < 1) {
+    if (!day || !seed || !concurrency || *concurrency < 1) {
         throw std::invalid_argument(
             "malformed numeric reproduction entries");
     }
     spec.day = static_cast<int>(*day);
-    spec.seed = static_cast<uint64_t>(*seed);
+    spec.seed = *seed;
     spec.concurrency = static_cast<size_t>(*concurrency);
     // Optional for metadata recorded before the parallel layer.
     if (auto jobs_entry = doc.get(sec, "repro_jobs")) {
@@ -575,23 +577,46 @@ makeBackend(const ReproSpec &spec)
     return backend;
 }
 
-Launcher
-makeLauncher(const ReproSpec &spec)
+CampaignRun
+runCampaign(const ReproSpec &spec, const CampaignIo &io)
 {
-    return Launcher(makeBackend(spec), spec.experiment.makeRule(),
-                    spec.launchOptions());
-}
+    CampaignRun run;
+    run.spec = spec;
+    bool resuming = !io.journalPath.empty() &&
+                    io.journalMode == record::JournalMode::Resume;
+    ResumedCampaign resumed;
+    if (resuming) {
+        resumed = loadResumedCampaign(io.journalPath);
+        run.spec = ReproSpec::fromJson(resumed.spec);
+        run.replayed = resumed.done;
+    }
+    std::unique_ptr<record::RunJournal> journal;
+    if (!io.journalPath.empty() && !run.replayed) {
+        journal = std::make_unique<record::RunJournal>(io.journalPath,
+                                                       io.journalMode);
+        if (!resuming)
+            journal->writeSpec(run.spec.toJson());
+    }
 
-LaunchReport
-reproduce(const record::MetadataDocument &doc)
-{
-    ReproSpec spec = reproSpecFromMetadata(doc);
-    Launcher launcher = makeLauncher(spec);
-    LaunchReport report = launcher.launch();
-    // Re-annotate so the reproduction's own artifacts can seed the
-    // next reproduction.
-    annotate(report.log, spec);
-    return report;
+    ReproSpec live = run.spec;
+    if (io.incarnation != 0)
+        live.fault.incarnation = io.incarnation;
+    LaunchOptions options = live.launchOptions();
+    options.journal = journal.get();
+    options.resume = resuming ? &resumed.state : nullptr;
+    options.interruptFlag = io.interruptFlag;
+    options.roundObserver = io.roundObserver;
+    Launcher launcher(makeBackend(live), live.experiment.makeRule(),
+                      options);
+    run.report = launcher.launch();
+    annotate(run.report.log, run.spec);
+    if (run.spec.backendKind == "sim" ||
+        run.spec.backendKind == "sim-phased" ||
+        run.spec.backendKind == "faas") {
+        run.report.log.setSystemInfo(record::describeSimulatedMachine(
+            sim::machineById(run.spec.machines.front())));
+    }
+    return run;
 }
 
 } // namespace launcher

@@ -9,14 +9,18 @@
  * A ReproSpec captures everything needed to re-run an experiment:
  * backend kind, workload, machines, day, seed, concurrency, and the
  * full stopping/sampling configuration. annotate() embeds it in a
- * RunLog's metadata; reproduce() parses a metadata document back into
- * a live Launcher and runs it. With the simulated testbed the
- * reproduction is bit-exact: same seed, same samples.
+ * RunLog's metadata and reproSpecFromMetadata() parses it back out.
+ * runCampaign() is the one way to run a spec — `sharp run`,
+ * `sharp reproduce`, suites and serve workers all go through it. With
+ * the simulated testbed the reproduction is bit-exact: same seed, same
+ * samples.
  */
 
 #ifndef SHARP_LAUNCHER_REPRODUCE_HH
 #define SHARP_LAUNCHER_REPRODUCE_HH
 
+#include <atomic>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -27,6 +31,7 @@
 #include "launcher/fault_backend.hh"
 #include "launcher/launcher.hh"
 #include "launcher/retry.hh"
+#include "record/journal.hh"
 #include "record/metadata.hh"
 #include "record/run_log.hh"
 
@@ -141,14 +146,50 @@ ReproSpec reproSpecFromMetadata(const record::MetadataDocument &doc);
  */
 std::shared_ptr<Backend> makeBackend(const ReproSpec &spec);
 
-/** Build a ready-to-run launcher from a spec. */
-Launcher makeLauncher(const ReproSpec &spec);
+/** Where a campaign journals and what it reports to while running. */
+struct CampaignIo
+{
+    /** Run journal file; empty runs without one. */
+    std::string journalPath;
+    /**
+     * Fresh truncates the journal and writes the spec header. Resume
+     * loads the journal, whose spec header then wins over the spec
+     * passed in; a journal that already has its done marker is
+     * replayed with the journal detached, so the file never changes.
+     */
+    record::JournalMode journalMode = record::JournalMode::Fresh;
+    /** See LaunchOptions::interruptFlag (optional, non-owning). */
+    const std::atomic<bool> *interruptFlag = nullptr;
+    /** See LaunchOptions::roundObserver (optional). */
+    std::function<void(size_t)> roundObserver;
+    /**
+     * Failover epoch for the fault schedule of the live backend; 0
+     * keeps the spec's own. Never journaled or annotated, so the
+     * recorded campaign is the same in every incarnation.
+     */
+    uint64_t incarnation = 0;
+};
+
+/** What runCampaign() ran and what came of it. */
+struct CampaignRun
+{
+    /** The spec that ran (the journal's header when resuming). */
+    ReproSpec spec;
+    /** The launch, annotated, with simulated-machine sysinfo. */
+    LaunchReport report;
+    /** The resumed journal was already complete: replay only. */
+    bool replayed = false;
+};
 
 /**
- * One-call reproduction: parse the metadata, rebuild the experiment,
- * run it, and return the fresh report.
+ * Run @p spec end to end: open or resume the journal, build the
+ * backend and rule, launch, annotate the log with the spec, and attach
+ * the simulated machine's system info. Saving artifacts, signal
+ * handling and exit codes stay with the caller.
+ * @throws std::runtime_error for an unreadable journal,
+ *         std::invalid_argument for a spec no backend can run.
  */
-LaunchReport reproduce(const record::MetadataDocument &doc);
+CampaignRun runCampaign(const ReproSpec &spec, const CampaignIo &io = {});
 
 } // namespace launcher
 } // namespace sharp

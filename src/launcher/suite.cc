@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "launcher/launcher.hh"
 #include "sim/machine.hh"
 #include "sim/rodinia.hh"
 #include "util/fs.hh"
@@ -55,8 +54,7 @@ runSuite(const std::vector<SuiteEntry> &entries,
             spec.experiment = config;
             spec.retry = retry;
 
-            Launcher launcher = makeLauncher(spec);
-            LaunchReport launch = launcher.launch();
+            LaunchReport launch = runCampaign(spec).report;
             outcome.series = std::move(launch.series);
             outcome.ruleFired = launch.ruleFired;
             outcome.stopReason = launch.finalDecision.reason;

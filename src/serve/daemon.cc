@@ -20,15 +20,11 @@
 #include "check/diagnostic.hh"
 #include "json/parser.hh"
 #include "json/writer.hh"
-#include "launcher/launcher.hh"
 #include "launcher/reproduce.hh"
-#include "launcher/resume.hh"
 #include "record/journal.hh"
-#include "record/sysinfo.hh"
 #include "serve/protocol.hh"
 #include "serve/queue.hh"
 #include "serve/state.hh"
-#include "sim/machine.hh"
 #include "util/fs.hh"
 #include "util/heartbeat.hh"
 #include "util/socket.hh"
@@ -86,68 +82,32 @@ runWorkerProcess(const std::string &dir, const json::Value &specDoc,
     std::signal(SIGPIPE, SIG_IGN);
 
     try {
-        std::string journalPath = dir + "/journal.jsonl";
         std::string base = dir + "/result";
+        // Results are written only on clean completion, so the
+        // existence of result.csv is itself the done signal.
+        if (util::fileExists(base + ".csv"))
+            return 0;
 
         // Failover or restart: the campaign's own journal is the
-        // authority. loadResumedCampaign repairs a torn tail, so a
-        // SIGKILLed predecessor can never poison this incarnation.
-        launcher::ResumedCampaign resumed;
-        bool resuming = util::fileExists(journalPath);
-        if (resuming)
-            resumed = launcher::loadResumedCampaign(journalPath);
-
-        launcher::ReproSpec spec = launcher::ReproSpec::fromJson(
-            resuming ? resumed.spec : specDoc);
-        // The annotated identity of the campaign never changes across
-        // failovers; only the live fault schedule sees the epoch.
-        launcher::ReproSpec recordSpec = spec;
-        spec.fault.incarnation = incarnation;
-
-        launcher::LaunchOptions options = spec.launchOptions();
-        std::unique_ptr<record::RunJournal> journal;
-        if (resuming && resumed.done) {
-            if (util::fileExists(base + ".csv"))
-                return 0;
-            // Journal complete but the worker died before writing
-            // results: replay only, with the journal detached so the
-            // done marker is not duplicated.
-            options.resume = &resumed.state;
-        } else if (resuming) {
-            journal = std::make_unique<record::RunJournal>(
-                journalPath, record::JournalMode::Resume);
-            options.journal = journal.get();
-            options.resume = &resumed.state;
-        } else {
-            journal = std::make_unique<record::RunJournal>(
-                journalPath, record::JournalMode::Fresh);
-            journal->writeSpec(recordSpec.toJson());
-            options.journal = journal.get();
-        }
-        options.interruptFlag = &g_workerInterrupted;
-        options.roundObserver = [heartbeatFd](size_t) {
+        // authority, and a finished journal whose worker died before
+        // writing results is replayed without being touched.
+        launcher::CampaignIo io;
+        io.journalPath = dir + "/journal.jsonl";
+        if (util::fileExists(io.journalPath))
+            io.journalMode = record::JournalMode::Resume;
+        io.interruptFlag = &g_workerInterrupted;
+        io.roundObserver = [heartbeatFd](size_t) {
             util::sendHeartbeat(heartbeatFd);
         };
+        io.incarnation = incarnation;
         util::sendHeartbeat(heartbeatFd);
 
-        launcher::Launcher launcher(launcher::makeBackend(spec),
-                                    spec.experiment.makeRule(),
-                                    options);
-        launcher::LaunchReport result = launcher.launch();
-        launcher::annotate(result.log, recordSpec);
-        if (spec.backendKind == "sim" ||
-            spec.backendKind == "sim-phased" ||
-            spec.backendKind == "faas") {
-            result.log.setSystemInfo(record::describeSimulatedMachine(
-                sim::machineById(spec.machines.front())));
-        }
-
+        launcher::ReproSpec spec = launcher::ReproSpec::fromJson(specDoc);
+        launcher::LaunchReport result = launcher::runCampaign(spec, io).report;
         if (result.aborted)
             return 3;
         if (result.interrupted)
             return 130;
-        // Results are written only on clean completion, so the
-        // existence of result.csv is itself the done signal.
         result.log.save(base);
         return 0;
     } catch (const std::exception &problem) {

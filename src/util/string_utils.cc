@@ -106,6 +106,22 @@ parseLong(std::string_view text)
     return value;
 }
 
+std::optional<uint64_t>
+parseUint64(std::string_view text)
+{
+    // strtoull alone would accept a sign ("-1" -> 2^64 - 1) and
+    // leading whitespace.
+    if (text.empty() ||
+        text.find_first_not_of("0123456789") != std::string_view::npos)
+        return std::nullopt;
+    std::string buf(text);
+    errno = 0;
+    unsigned long long value = std::strtoull(buf.c_str(), nullptr, 10);
+    if (errno == ERANGE)
+        return std::nullopt;
+    return value;
+}
+
 std::string
 replaceAll(std::string text, std::string_view from, std::string_view to)
 {

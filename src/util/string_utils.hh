@@ -6,6 +6,7 @@
 #ifndef SHARP_UTIL_STRING_UTILS_HH
 #define SHARP_UTIL_STRING_UTILS_HH
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -40,6 +41,12 @@ std::optional<double> parseDouble(std::string_view text);
 
 /** Parse a long; returns nullopt if the full string is not an integer. */
 std::optional<long> parseLong(std::string_view text);
+
+/**
+ * Parse an unsigned 64-bit decimal: digits only, no sign, no
+ * whitespace. Returns nullopt for anything else or on overflow.
+ */
+std::optional<uint64_t> parseUint64(std::string_view text);
 
 /** Replace every occurrence of @p from in @p text with @p to. */
 std::string replaceAll(std::string text, std::string_view from,

@@ -14,6 +14,7 @@
 #include "launcher/reproduce.hh"
 #include "record/metadata.hh"
 #include "simd/dispatch.hh"
+#include "util/fs.hh"
 
 namespace
 {
@@ -35,6 +36,21 @@ run(const std::vector<std::string> &argv)
     std::ostringstream out, err;
     int status = runCli(argv, out, err);
     return {status, out.str(), err.str()};
+}
+
+using sharp::util::readFileText;
+
+/** Metadata text minus its wall-clock `written_at` stamp. */
+std::string
+metadataWithoutClock(const std::string &path)
+{
+    std::istringstream in(readFileText(path));
+    std::string line, kept;
+    while (std::getline(in, line)) {
+        if (line.find("**written_at**") == std::string::npos)
+            kept += line + "\n";
+    }
+    return kept;
 }
 
 TEST(ParseArgs, CommandPositionalsAndFlags)
@@ -178,10 +194,55 @@ TEST(Cli, ReproduceWarnsOnSimdBackendMismatch)
 
 TEST(Cli, RunRejectsBadNumbers)
 {
-    CliResult result = run({"run", "--workload", "bfs", "--threshold",
-                            "abc"});
-    EXPECT_EQ(result.status, 2);
-    EXPECT_NE(result.err.find("must be a number"), std::string::npos);
+    // Each bad value exits 2 with a `run: --flag must be ...` line
+    // instead of silently running with a default.
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        {"threshold", "abc"}, {"seed", "abc"},     {"seed", "-1"},
+        {"max", "xyz"},       {"max", "1"},        {"day", "1x"},
+        {"concurrency", "0"}, {"concurrency", "-3"}, {"jobs", "0"},
+        {"retries", "-1"},    {"max-failures", "x"},
+    };
+    for (const auto &[flag, value] : cases) {
+        CliResult result = run({"run", "--workload", "bfs", "--max",
+                                "20", "--" + flag, value});
+        EXPECT_EQ(result.status, 2) << flag << " " << value;
+        EXPECT_NE(result.err.find("run: --" + flag + " must be"),
+                  std::string::npos)
+            << flag << " " << value << ": " << result.err;
+    }
+}
+
+TEST(Cli, ReproduceWritesTheSameArtifactsAsRun)
+{
+    fs::path dir = fs::temp_directory_path() / "sharp_cli_repro_same";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    // 2^64 - 59 takes the same path: --seed, repro_seed and
+    // `sharp check` all read the full unsigned width.
+    for (std::string seed : {"3", "18446744073709551557"}) {
+        std::string original = (dir / ("run" + seed)).string();
+        std::string again = (dir / ("rep" + seed)).string();
+        CliResult first =
+            run({"run", "--workload", "hotspot", "--rule", "ks", "--max",
+                 "60", "--seed", seed, "--out", original});
+        ASSERT_EQ(first.status, 0) << first.err;
+        CliResult repro = run({"reproduce", original + ".md", "--out",
+                               again});
+        ASSERT_EQ(repro.status, 0) << repro.err;
+
+        EXPECT_EQ(readFileText(again + ".csv"),
+                  readFileText(original + ".csv"));
+        std::string metadata = metadataWithoutClock(original + ".md");
+        EXPECT_NE(metadata.find("**repro_seed**: " + seed),
+                  std::string::npos);
+        EXPECT_NE(metadata.find("## System Under Test"),
+                  std::string::npos);
+        EXPECT_EQ(metadataWithoutClock(again + ".md"), metadata);
+
+        CliResult check = run({"check", original + ".md"});
+        EXPECT_NE(check.status, 2) << check.out;
+    }
+    fs::remove_all(dir);
 }
 
 TEST(Cli, RunRejectsUnknownWorkload)
@@ -267,9 +328,26 @@ TEST(Cli, ResumeOfCompletedJournalIsANoOp)
              out.string()});
     ASSERT_EQ(first.status, 0) << first.err;
 
+    std::string journalBytes = readFileText(journal.string());
+    std::string csv = readFileText(out.string() + ".csv");
+
     CliResult again = run({"run", "--resume", dir.string()});
     EXPECT_EQ(again.status, 0) << again.err;
     EXPECT_NE(again.out.find("already completed"), std::string::npos);
+    EXPECT_EQ(readFileText(journal.string()), journalBytes);
+
+    // A process killed after the done marker but before saving leaves
+    // a finished journal and no results: resuming replays the journal
+    // and writes them, still without touching the journal.
+    fs::remove(out.string() + ".csv");
+    fs::remove(out.string() + ".md");
+    CliResult recovered = run({"run", "--resume", dir.string(), "--out",
+                               out.string()});
+    EXPECT_EQ(recovered.status, 0) << recovered.err;
+    EXPECT_NE(recovered.out.find("already completed"),
+              std::string::npos);
+    EXPECT_EQ(readFileText(out.string() + ".csv"), csv);
+    EXPECT_EQ(readFileText(journal.string()), journalBytes);
     fs::remove_all(dir);
 }
 

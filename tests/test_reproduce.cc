@@ -16,6 +16,7 @@
 #include "launcher/launcher.hh"
 #include "launcher/reproduce.hh"
 #include "launcher/sim_backend.hh"
+#include "record/journal.hh"
 #include "record/metadata.hh"
 #include "simd/dispatch.hh"
 
@@ -166,10 +167,8 @@ TEST(Reproduce, AnnotateRecordsActiveSimdBackend)
 
 TEST(Reproduce, SimulatedReproductionIsBitExact)
 {
-    ReproSpec spec = hotspotSpec();
-    launcher::Launcher original = launcher::makeLauncher(spec);
-    launcher::LaunchReport first = original.launch();
-    launcher::annotate(first.log, spec);
+    launcher::LaunchReport first =
+        launcher::runCampaign(hotspotSpec()).report;
 
     // Round-trip the metadata through a real file, as a user would.
     namespace fs = std::filesystem;
@@ -179,7 +178,9 @@ TEST(Reproduce, SimulatedReproductionIsBitExact)
         record::MetadataDocument::load(path.string());
     fs::remove(path);
 
-    launcher::LaunchReport second = launcher::reproduce(doc);
+    launcher::LaunchReport second =
+        launcher::runCampaign(launcher::reproSpecFromMetadata(doc))
+            .report;
 
     ASSERT_EQ(second.series.size(), first.series.size());
     for (size_t i = 0; i < first.series.size(); ++i)
@@ -199,8 +200,7 @@ TEST(Reproduce, FaasSpecBuildsClusterBackend)
     spec.experiment.ruleParams = {{"count", 30}};
     spec.experiment.options.maxSamples = 200;
 
-    launcher::Launcher launcher = launcher::makeLauncher(spec);
-    auto report = launcher.launch();
+    auto report = launcher::runCampaign(spec).report;
     EXPECT_TRUE(report.ruleFired);
     EXPECT_GE(report.series.size(), 30u);
     // Both workers served requests.
@@ -247,9 +247,24 @@ TEST(Reproduce, RejectsMalformedNumbers)
     record::RunLog log("x");
     launcher::annotate(log, hotspotSpec());
     record::MetadataDocument doc = log.toMetadata();
-    doc.set("Configuration", "repro_seed", "not-a-number");
-    EXPECT_THROW(launcher::reproSpecFromMetadata(doc),
-                 std::invalid_argument);
+    for (const char *seed :
+         {"not-a-number", "-1", "18446744073709551616"}) {
+        doc.set("Configuration", "repro_seed", seed);
+        EXPECT_THROW(launcher::reproSpecFromMetadata(doc),
+                     std::invalid_argument)
+            << seed;
+    }
+}
+
+TEST(Reproduce, FullWidthSeedRoundTripsThroughMetadata)
+{
+    // 2^64 - 59: above both 2^53 (doubles) and 2^63 (signed longs).
+    ReproSpec spec = hotspotSpec();
+    spec.seed = 18446744073709551557ull;
+    record::RunLog log("hotspot");
+    launcher::annotate(log, spec);
+    EXPECT_EQ(launcher::reproSpecFromMetadata(log.toMetadata()).seed,
+              spec.seed);
 }
 
 TEST(Reproduce, JsonSpecRoundTrip)
@@ -295,15 +310,41 @@ TEST(Reproduce, ReproducedLogCanSeedAnotherReproduction)
 {
     ReproSpec spec = hotspotSpec();
     spec.experiment.options.maxSamples = 300;
-    launcher::Launcher original = launcher::makeLauncher(spec);
-    auto first = original.launch();
-    launcher::annotate(first.log, spec);
-
-    auto second = launcher::reproduce(first.log.toMetadata());
-    auto third = launcher::reproduce(second.log.toMetadata());
+    auto reproduce = [](const launcher::LaunchReport &from) {
+        return launcher::runCampaign(
+                   launcher::reproSpecFromMetadata(from.log.toMetadata()))
+            .report;
+    };
+    auto first = launcher::runCampaign(spec).report;
+    auto second = reproduce(first);
+    auto third = reproduce(second);
     ASSERT_EQ(third.series.size(), second.series.size());
     for (size_t i = 0; i < second.series.size(); ++i)
         EXPECT_DOUBLE_EQ(third.series[i], second.series[i]);
+}
+
+TEST(RunCampaign, IncarnationStaysOutOfTheRecord)
+{
+    namespace fs = std::filesystem;
+    fs::path journal = fs::temp_directory_path() / "sharp_run_epoch.jsonl";
+    ReproSpec spec = hotspotSpec();
+    spec.experiment.options.maxSamples = 50;
+    spec.fault.hangRecoverProbability = 1.0;
+    spec.fault.hangRecoverSeconds = 1e-4;
+    spec.faultEnabled = true;
+    launcher::CampaignIo io;
+    io.journalPath = journal.string();
+    io.incarnation = 3;
+    launcher::CampaignRun run = launcher::runCampaign(spec, io);
+
+    EXPECT_EQ(run.spec.fault.incarnation, 0u);
+    auto recorded = run.report.log.toMetadata().get("Configuration",
+                                                    "repro_fault");
+    ASSERT_TRUE(recorded.has_value());
+    EXPECT_EQ(json::parse(*recorded).getUint64("incarnation", 9), 0u);
+    json::Value header = record::readJournal(journal.string()).spec;
+    EXPECT_EQ(header.find("fault")->getUint64("incarnation", 9), 0u);
+    fs::remove(journal);
 }
 
 } // anonymous namespace

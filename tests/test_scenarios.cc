@@ -329,8 +329,8 @@ TEST(TraceReplay, VerbatimRoundTripReproducesTheTidyCsvByteForByte)
     recordSpec.experiment.ruleName = "fixed";
     recordSpec.experiment.ruleParams["count"] = 25;
     recordSpec.experiment.options.maxSamples = 25;
-    launcher::Launcher recorder = launcher::makeLauncher(recordSpec);
-    launcher::LaunchReport recorded = recorder.launch();
+    launcher::LaunchReport recorded =
+        launcher::runCampaign(recordSpec).report;
     std::string recordedCsv = recorded.log.toCsv().toCsv();
     std::string tracePath = tempPath("sharp_golden_trace.csv");
     {
@@ -356,8 +356,8 @@ TEST(TraceReplay, VerbatimRoundTripReproducesTheTidyCsvByteForByte)
     replaySpec.experiment.ruleName = "fixed";
     replaySpec.experiment.ruleParams["count"] = 25;
     replaySpec.experiment.options.maxSamples = 25;
-    launcher::Launcher replayer = launcher::makeLauncher(replaySpec);
-    launcher::LaunchReport replayed = replayer.launch();
+    launcher::LaunchReport replayed =
+        launcher::runCampaign(replaySpec).report;
 
     EXPECT_EQ(replayed.log.toCsv().toCsv(), recordedCsv);
 

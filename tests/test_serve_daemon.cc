@@ -215,6 +215,19 @@ referenceCsv(const Harness &harness, const json::Value &spec)
     return util::readFileText(base + ".csv");
 }
 
+/** Metadata text minus its wall-clock `written_at` stamp. */
+std::string
+metadataWithoutClock(const std::string &path)
+{
+    std::istringstream in(util::readFileText(path));
+    std::string line, kept;
+    while (std::getline(in, line)) {
+        if (line.find("**written_at**") == std::string::npos)
+            kept += line + "\n";
+    }
+    return kept;
+}
+
 std::string
 campaignCsv(const Harness &harness, const std::string &id)
 {
@@ -283,8 +296,12 @@ TEST(ServeDaemon, SubmitRunsToCompletionMatchingSharpRun)
     EXPECT_EQ(csv,
               util::readFileText(results.getString("csv_path", "")));
 
-    // A daemon-run campaign is the same campaign `sharp run` runs.
+    // A daemon-run campaign is the same campaign `sharp run` runs,
+    // down to its metadata apart from the wall-clock stamp.
     EXPECT_EQ(csv, referenceCsv(harness, spec));
+    EXPECT_EQ(metadataWithoutClock(harness.stateDir() + "/campaigns/" +
+                                   id + "/result.md"),
+              metadataWithoutClock((harness.dir / "reference.md").string()));
 
     expectCleanArtifacts(harness);
 

@@ -87,6 +87,19 @@ TEST(ParseLong, AcceptsIntegersRejectsFractions)
     EXPECT_FALSE(parseLong("").has_value());
 }
 
+TEST(ParseUint64, TakesTheFullWidthRejectsSignsAndOverflow)
+{
+    EXPECT_EQ(parseUint64("0").value(), 0u);
+    EXPECT_EQ(parseUint64("18446744073709551615").value(), UINT64_MAX);
+    EXPECT_FALSE(parseUint64("18446744073709551616").has_value());
+    // strtoull would wrap "-1" to 2^64 - 1.
+    EXPECT_FALSE(parseUint64("-1").has_value());
+    EXPECT_FALSE(parseUint64("+1").has_value());
+    EXPECT_FALSE(parseUint64(" 1").has_value());
+    EXPECT_FALSE(parseUint64("1x").has_value());
+    EXPECT_FALSE(parseUint64("").has_value());
+}
+
 TEST(ReplaceAll, ReplacesEveryOccurrence)
 {
     EXPECT_EQ(replaceAll("a-b-c", "-", "+"), "a+b+c");
