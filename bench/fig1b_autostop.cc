@@ -18,7 +18,7 @@
 #include "sim/machine.hh"
 #include "sim/rodinia.hh"
 #include "sim/workload.hh"
-#include "stats/similarity.hh"
+#include "stats/ecdf.hh"
 #include "util/string_utils.hh"
 #include "util/table.hh"
 
@@ -47,7 +47,7 @@ runWithRule(const sharp::sim::BenchmarkSpec &spec,
     launcher::Launcher l(backend, std::move(rule), opts);
     auto report = l.launch();
     return {report.series.size(),
-            stats::ksDistance(report.series.values(), truth)};
+            stats::ksStatistic(report.series.values(), truth)};
 }
 
 } // anonymous namespace

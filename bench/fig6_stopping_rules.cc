@@ -29,6 +29,7 @@
 #include "sim/faas.hh"
 #include "sim/machine.hh"
 #include "sim/rodinia.hh"
+#include "stats/ecdf.hh"
 #include "stats/similarity.hh"
 #include "util/string_utils.hh"
 #include "util/table.hh"
@@ -76,7 +77,7 @@ runRule(const sharp::sim::BenchmarkSpec &spec,
     auto report = l.launch();
     return {report.series.size(),
             stats::namd(report.series.values(), truth),
-            stats::ksDistance(report.series.values(), truth)};
+            stats::ksStatistic(report.series.values(), truth)};
 }
 
 } // anonymous namespace

@@ -2,56 +2,55 @@
  * @file
  * Perf-regression bench for the stopping-rule hot path.
  *
- * Measures the steady-state cost of one stopping-rule evaluation —
- * append one sample, consult the rule — at series sizes 10^2..10^5,
- * once with the incremental statistics engine (core::StatsCache) and
- * once with it disabled via the kill switch, which recomputes every
- * statistic batch-style exactly as the pre-engine code did. Both modes
- * draw identical sample streams, so every decision (criterion,
- * threshold, stop flag, reason) must agree bit for bit; the bench
- * asserts this and exits non-zero on any divergence.
+ * Three sections, written to stdout as tables and to
+ * BENCH_stopping.json (see --out; schema sharp-bench-stopping-v2):
  *
- * Also times a full `sharp calibrate` sweep in both modes, since the
- * calibration harness is the engine's heaviest consumer.
+ *  - Rule rows: the steady-state cost of one stopping-rule evaluation —
+ *    append one sample, consult the rule — at series sizes 10^2..10^5
+ *    on the incremental statistics engine (core::StatsCache): ns/eval
+ *    plus the engine's deterministic work counters (structure
+ *    comparisons and binomial PMF terms per eval).
+ *  - Accessor rows: the batch reference. Each engine accessor the
+ *    rules read, called with the arguments they pass, is timed against
+ *    the src/stats recomputation stats_cache.hh documents as its
+ *    equal: append + accessor versus append + src/stats call, on the
+ *    same stream in paired windows, with every read compared bit for
+ *    bit.
+ *  - SIMD kernels: the KS walk and the sorted merge on every backend
+ *    the host can run, against scalar, in interleaved call pairs.
  *
- * Small series sit below the engine's size cutover
- * (core::statsCacheCutover()), where every accessor routes to the
- * batch recomputation anyway — so at those sizes the two modes run
- * identical code and the honest claim is "no overhead", not a speedup.
- * The bench asserts exactly that: at sizes that stay under the cutover
- * the work counters must be *equal* and the wall ratio near 1. Small-n
- * points are also timing-noise-dominated (tens of nanoseconds per
- * eval), so every point at n <= 1000 is measured over several
- * independent repetitions with fresh state, interleaving the two modes
- * and reporting each mode's fastest window.
+ * Gates (the bench exits non-zero when one trips):
  *
- * Output: a human-readable table on stdout plus BENCH_stopping.json
- * (see --out) with ns/eval, deterministic work counters (structure
- * comparisons and binomial PMF terms per eval), and speedups. CI runs
- * `stopping_hotpath --quick` as a smoke gate: the equivalence
- * assertions plus deterministic counter bounds showing the cached fast
- * paths do sub-linear structural work per eval, and the counter
- * equality at sub-cutover sizes.
+ *  - bit-exactness: every accessor read equals its src/stats
+ *    recomputation, and every SIMD backend equals scalar;
+ *  - sub-linearity (ks, median-ci, meta at n >= 10^4): at most n
+ *    comparisons and 10 sqrt(n) PMF terms per eval. The counters are
+ *    exact replay counts, not timings, so the bound is stable;
+ *  - small-n overhead: on windows that stay at or below the engine's
+ *    size cutover, where the engine runs the batch code itself, each
+ *    accessor's src/stats-to-engine time ratio is >= 0.7;
+ *  - SIMD speedup: on a vector-capable host the dispatched backend's
+ *    median paired speedup over scalar on ks and merge at n = 10^5 is
+ *    >= 1.5.
  *
- * A second section micro-benches the SIMD kernels (KS half-split walk
- * and sorted merge) on every backend the host can run, against the
- * scalar reference. The dispatch layer's contract is bit-exactness, so
- * each backend's outputs are compared bit for bit; the reason vector
- * code exists at all is speed, so on vector-capable hosts the KS and
- * merge kernels must beat scalar by >= 1.5x at n = 10^5. The JSON
- * names the backend the dispatcher actually selected for this process
- * (`simd_backend`) plus every runnable backend's timing.
+ * Timings are the fastest of several windows: scheduler and
+ * clock-drift noise is strictly additive, so the minimum converges on
+ * the true cost where a mean stays contaminated. CI runs
+ * `stopping_hotpath --quick` (rule and accessor rows up to 10^4;
+ * kernels at 10^4 and 10^5) as the bench.stopping_hotpath_smoke test.
  */
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_common.hh"
-#include "calibrate/calibration.hh"
 #include "core/sample_series.hh"
 #include "core/stats_cache.hh"
 #include "core/stopping/stopping_rule.hh"
@@ -60,15 +59,15 @@
 #include "rng/synthetic.hh"
 #include "rng/xoshiro.hh"
 #include "simd/dispatch.hh"
-
-#include <algorithm>
+#include "stats/ci.hh"
+#include "stats/ecdf.hh"
 
 namespace
 {
 
 using sharp::core::SampleSeries;
 using sharp::core::StatsEngineCounters;
-using sharp::core::StopDecision;
+using Clock = std::chrono::steady_clock;
 
 /** Which synthetic stream each rule is exercised on. */
 struct RuleCase
@@ -92,121 +91,271 @@ const RuleCase ruleCases[] = {
     {"tail-quantile", "lognormal"}, {"meta", "cauchy"},
 };
 
-/** One mode's measurement at one series size. */
-struct Measurement
+/** Append a CI's three doubles to a read record. */
+void
+pushCi(std::vector<double> &out, const sharp::stats::ConfidenceInterval &ci)
+{
+    out.push_back(ci.lower);
+    out.push_back(ci.upper);
+    out.push_back(ci.level);
+}
+
+/** The prefix UniformRangeRule asks for: all but its 25% window. */
+size_t
+rangePrefix(size_t n)
+{
+    return n - std::max<size_t>(
+                   1, static_cast<size_t>(0.25 * static_cast<double>(n)));
+}
+
+/**
+ * An engine accessor a rule reads, on that rule's stream, with the
+ * arguments the rules pass (default levels 0.95, tail-quantile's p95),
+ * next to its src/stats equal. Each read appends the doubles it
+ * returned to @p out.
+ */
+struct AccessorCase
+{
+    const char *accessor;
+    const char *stream;
+    void (*engine)(const SampleSeries &s, std::vector<double> &out);
+    void (*batch)(const SampleSeries &s, std::vector<double> &out);
+};
+
+const AccessorCase accessorCases[] = {
+    {"sorted", "cauchy",
+     [](const SampleSeries &s, std::vector<double> &out) {
+         const std::vector<double> &v = s.stats().sorted();
+         out.insert(out.end(), v.begin(), v.end());
+     },
+     [](const SampleSeries &s, std::vector<double> &out) {
+         std::vector<double> v = s.values();
+         std::sort(v.begin(), v.end());
+         out.insert(out.end(), v.begin(), v.end());
+     }},
+    {"ksHalves", "lognormal",
+     [](const SampleSeries &s, std::vector<double> &out) {
+         out.push_back(s.stats().ksHalves());
+     },
+     [](const SampleSeries &s, std::vector<double> &out) {
+         out.push_back(
+             sharp::stats::ksStatistic(s.firstHalf(), s.secondHalf()));
+     }},
+    {"meanCi", "normal",
+     [](const SampleSeries &s, std::vector<double> &out) {
+         pushCi(out, s.stats().meanCi(0.95));
+     },
+     [](const SampleSeries &s, std::vector<double> &out) {
+         pushCi(out, sharp::stats::meanCi(s.values(), 0.95));
+     }},
+    {"meanCiRightTailed", "lognormal",
+     [](const SampleSeries &s, std::vector<double> &out) {
+         pushCi(out, s.stats().meanCiRightTailed(0.95));
+     },
+     [](const SampleSeries &s, std::vector<double> &out) {
+         pushCi(out, sharp::stats::meanCiRightTailed(s.values(), 0.95));
+     }},
+    {"medianCi", "lognormal",
+     [](const SampleSeries &s, std::vector<double> &out) {
+         pushCi(out, s.stats().medianCi(0.95));
+     },
+     [](const SampleSeries &s, std::vector<double> &out) {
+         pushCi(out, sharp::stats::medianCi(s.values(), 0.95));
+     }},
+    {"quantileCi", "lognormal",
+     [](const SampleSeries &s, std::vector<double> &out) {
+         pushCi(out, s.stats().quantileCi(0.95, 0.95));
+     },
+     [](const SampleSeries &s, std::vector<double> &out) {
+         pushCi(out, sharp::stats::quantileCi(s.values(), 0.95, 0.95));
+     }},
+    {"prefixRange", "uniform",
+     [](const SampleSeries &s, std::vector<double> &out) {
+         auto [lo, hi] = s.stats().prefixRange(rangePrefix(s.size()));
+         out.push_back(lo);
+         out.push_back(hi);
+     },
+     [](const SampleSeries &s, std::vector<double> &out) {
+         const std::vector<double> &v = s.values();
+         size_t count = rangePrefix(s.size());
+         double lo = v[0], hi = v[0];
+         for (size_t i = 1; i < count; ++i) {
+             lo = std::min(lo, v[i]);
+             hi = std::max(hi, v[i]);
+         }
+         out.push_back(lo);
+         out.push_back(hi);
+     }},
+};
+
+/**
+ * How one (case, n) point is measured: @c windows timed windows of
+ * @c evals append-plus-read rounds each, window w replaying stream
+ * w % @c streams. Sizes up to 10^4 draw a fresh stream per window,
+ * because one window there is noise-dominated. At 10^5 one window
+ * already spans eight costly evals, so its windows replay a single
+ * stream: min-of-k timing whose per-eval counters stay those of that
+ * stream.
+ */
+struct Plan
+{
+    size_t evals;
+    size_t windows;
+    size_t streams;
+};
+
+Plan
+planFor(size_t n)
+{
+    if (n >= 100000)
+        return {8, 5, 1};
+    return {64, 8, 8};
+}
+
+/** Fixed per (case, n, stream); any constant works. */
+uint64_t
+windowSeed(const std::string &name, size_t n, const Plan &plan, size_t w)
+{
+    uint64_t h = 0x9e3779b97f4a7c15ull ^ n;
+    for (unsigned char c : name)
+        h = (h ^ c) * 0x100000001b3ull;
+    return h ^ (0xd1342543de82ef95ull * (w % plan.streams + 1));
+}
+
+double
+elapsedNs(Clock::time_point start)
+{
+    return std::chrono::duration<double, std::nano>(Clock::now() - start)
+        .count();
+}
+
+/** Keep the smaller positive time; 0 means "none yet". */
+void
+keepFastest(double &best, double ns)
+{
+    if (best == 0.0 || ns < best)
+        best = ns;
+}
+
+/** A series of @p n draws, and the sampler state to continue it. */
+struct Stream
+{
+    std::shared_ptr<sharp::rng::Sampler> sampler;
+    sharp::rng::Xoshiro256 gen;
+    SampleSeries series;
+
+    Stream(const char *name, uint64_t seed, size_t n)
+        : sampler(sharp::rng::syntheticByName(name).make()), gen(seed)
+    {
+        for (size_t i = 0; i < n; ++i)
+            append();
+    }
+
+    void append() { series.append(sampler->sample(gen)); }
+};
+
+struct RulePoint
 {
     double nsPerEval = 0.0;
     double comparisonsPerEval = 0.0;
     double pmfEvalsPerEval = 0.0;
-    /** Raw totals across all repetitions, for exact-equality gates. */
-    uint64_t totalComparisons = 0;
-    uint64_t totalPmfEvals = 0;
-    std::vector<StopDecision> decisions;
-};
-
-uint64_t
-caseSeed(const std::string &rule, size_t n)
-{
-    // Fixed per (rule, n) so the cached and batch runs replay the
-    // exact same stream; any constant works.
-    uint64_t h = 0x9e3779b97f4a7c15ull ^ n;
-    for (unsigned char c : rule)
-        h = (h ^ c) * 0x100000001b3ull;
-    return h;
-}
-
-/** Accumulates one mode's measurements across repetitions. */
-struct Accumulator
-{
-    /**
-     * Fastest timed window. Scheduler and clock-drift noise is
-     * strictly additive, so the minimum across repetitions converges
-     * on the true cost where a sum or mean stays contaminated —
-     * exactly what the cheap rules (sub-microsecond windows) need.
-     */
-    double minNs = 0.0;
-    Measurement m;
 };
 
 /**
- * One timed window: build the series to @p n samples, do one untimed
- * warm-up evaluation (establishing the rule's internal state and, in
- * cached mode, the engine's structures), then time @p evals rounds of
- * append-plus-evaluate.
+ * Time one rule at size @p n. Each window builds the series, does one
+ * untimed evaluation (the rule's internal state and the engine's
+ * structures), then times append + evaluate.
  */
-void
-runWindow(const std::string &rule_name, const std::string &stream,
-          uint64_t seed, size_t n, size_t evals, bool cached,
-          Accumulator &into)
+RulePoint
+measureRule(const RuleCase &rc, size_t n)
 {
-    sharp::core::setStatsCacheEnabled(cached);
+    Plan plan = planFor(n);
+    double best = 0.0;
+    StatsEngineCounters work;
+    for (size_t w = 0; w < plan.windows; ++w) {
+        auto rule =
+            sharp::core::StoppingRuleFactory::instance().make(rc.rule);
+        Stream stream(rc.stream, windowSeed(rc.rule, n, plan, w), n);
+        rule->evaluate(stream.series);
 
-    auto rule = sharp::core::StoppingRuleFactory::instance().make(rule_name);
-    auto sampler = sharp::rng::syntheticByName(stream).make();
-    sharp::rng::Xoshiro256 gen(seed);
-
-    SampleSeries series;
-    for (size_t i = 0; i < n; ++i)
-        series.append(sampler->sample(gen));
-
-    into.m.decisions.push_back(rule->evaluate(series));
-
-    StatsEngineCounters before = series.stats().counters();
-    auto start = std::chrono::steady_clock::now();
-    for (size_t e = 0; e < evals; ++e) {
-        series.append(sampler->sample(gen));
-        into.m.decisions.push_back(rule->evaluate(series));
-    }
-    auto stop = std::chrono::steady_clock::now();
-    StatsEngineCounters delta = series.stats().counters() - before;
-
-    double window_ns =
-        std::chrono::duration<double, std::nano>(stop - start).count();
-    if (into.minNs == 0.0 || window_ns < into.minNs)
-        into.minNs = window_ns;
-    into.m.totalComparisons += delta.comparisons;
-    into.m.totalPmfEvals += delta.pmfEvals;
-
-    sharp::core::setStatsCacheEnabled(true);
-}
-
-/**
- * Paired measurement of both modes at one (rule, size) point. The two
- * modes run interleaved, repetition by repetition on the same seed,
- * with the mode order swapped every other repetition — so clock-speed
- * drift and cache warmth land on both sides equally instead of biasing
- * whichever mode ran second. Small per-eval costs (tens of ns) need
- * the repetitions; big sizes are self-averaging and use one.
- */
-std::pair<Measurement, Measurement>
-measurePoint(const std::string &rule_name, const std::string &stream,
-             size_t n, size_t evals, size_t repeats)
-{
-    Accumulator incr, batch;
-    incr.m.decisions.reserve(repeats * (evals + 1));
-    batch.m.decisions.reserve(repeats * (evals + 1));
-
-    for (size_t rep = 0; rep < repeats; ++rep) {
-        uint64_t seed = caseSeed(rule_name, n) ^
-                        (0xd1342543de82ef95ull * (rep + 1));
-        if (rep % 2 == 0) {
-            runWindow(rule_name, stream, seed, n, evals, true, incr);
-            runWindow(rule_name, stream, seed, n, evals, false, batch);
-        } else {
-            runWindow(rule_name, stream, seed, n, evals, false, batch);
-            runWindow(rule_name, stream, seed, n, evals, true, incr);
+        StatsEngineCounters before = stream.series.stats().counters();
+        auto start = Clock::now();
+        for (size_t e = 0; e < plan.evals; ++e) {
+            stream.append();
+            rule->evaluate(stream.series);
         }
+        keepFastest(best, elapsedNs(start));
+        StatsEngineCounters delta =
+            stream.series.stats().counters() - before;
+        work.comparisons += delta.comparisons;
+        work.pmfEvals += delta.pmfEvals;
     }
+    double evals = static_cast<double>(plan.evals * plan.windows);
+    return {best / static_cast<double>(plan.evals),
+            static_cast<double>(work.comparisons) / evals,
+            static_cast<double>(work.pmfEvals) / evals};
+}
 
-    double ne = static_cast<double>(evals * repeats);
-    for (Accumulator *acc : {&incr, &batch}) {
-        acc->m.nsPerEval = acc->minNs / static_cast<double>(evals);
-        acc->m.comparisonsPerEval =
-            static_cast<double>(acc->m.totalComparisons) / ne;
-        acc->m.pmfEvalsPerEval =
-            static_cast<double>(acc->m.totalPmfEvals) / ne;
+/**
+ * One timed window of append + read on one side of an accessor row;
+ * every read lands in @p reads (cleared first, capacity kept).
+ */
+double
+accessorWindow(const AccessorCase &ac, bool engine, uint64_t seed,
+               size_t n, size_t evals, std::vector<double> &reads)
+{
+    auto readAccessor = engine ? ac.engine : ac.batch;
+    Stream stream(ac.stream, seed, n);
+    reads.clear();
+    readAccessor(stream.series, reads);
+    auto start = Clock::now();
+    for (size_t e = 0; e < evals; ++e) {
+        stream.append();
+        readAccessor(stream.series, reads);
     }
-    return {std::move(incr.m), std::move(batch.m)};
+    return elapsedNs(start);
+}
+
+struct AccessorPoint
+{
+    double engineNsPerEval = 0.0;
+    double statsNsPerEval = 0.0;
+    bool bitwiseEqual = true;
+};
+
+/**
+ * Paired windows of one accessor at size @p n: engine and src/stats
+ * replay the same stream back to back, the order flipping every
+ * window, so drift and cache warmth land on both sides equally.
+ */
+AccessorPoint
+measureAccessor(const AccessorCase &ac, size_t n)
+{
+    Plan plan = planFor(n);
+    AccessorPoint point;
+    double engine_best = 0.0, stats_best = 0.0;
+    std::vector<double> engine_reads, stats_reads;
+    // Room for every read of the widest accessor (sorted), so the
+    // timed loops never reallocate.
+    engine_reads.reserve((plan.evals + 1) * (n + plan.evals));
+    stats_reads.reserve((plan.evals + 1) * (n + plan.evals));
+    for (size_t w = 0; w < plan.windows; ++w) {
+        uint64_t seed = windowSeed(ac.accessor, n, plan, w);
+        for (bool engine : {w % 2 == 0, w % 2 != 0}) {
+            double ns = accessorWindow(ac, engine, seed, n, plan.evals,
+                                       engine ? engine_reads
+                                              : stats_reads);
+            keepFastest(engine ? engine_best : stats_best, ns);
+        }
+        point.bitwiseEqual =
+            point.bitwiseEqual &&
+            engine_reads.size() == stats_reads.size() &&
+            std::memcmp(engine_reads.data(), stats_reads.data(),
+                        engine_reads.size() * sizeof(double)) == 0;
+    }
+    point.engineNsPerEval = engine_best / static_cast<double>(plan.evals);
+    point.statsNsPerEval = stats_best / static_cast<double>(plan.evals);
+    return point;
 }
 
 /** Bitwise equality of doubles (so NaN == NaN and -0.0 != 0.0). */
@@ -214,22 +363,6 @@ bool
 sameBits(double a, double b)
 {
     return std::memcmp(&a, &b, sizeof(double)) == 0;
-}
-
-bool
-sameDecisions(const std::vector<StopDecision> &a,
-              const std::vector<StopDecision> &b)
-{
-    if (a.size() != b.size())
-        return false;
-    for (size_t i = 0; i < a.size(); ++i) {
-        if (a[i].stop != b[i].stop ||
-            !sameBits(a[i].criterion, b[i].criterion) ||
-            !sameBits(a[i].threshold, b[i].threshold) ||
-            a[i].reason != b[i].reason)
-            return false;
-    }
-    return true;
 }
 
 /** A sorted, NaN-free lognormal series for the kernel micro-bench. */
@@ -245,41 +378,52 @@ makeSortedSeries(size_t n, uint64_t seed)
     return v;
 }
 
-/** Fastest of @p windows timed runs of @p fn, in nanoseconds. */
 template <typename Fn>
 double
-minWallNs(size_t windows, Fn &&fn)
+callNs(Fn &fn)
 {
-    double best = 0.0;
-    for (size_t w = 0; w < windows; ++w) {
-        auto start = std::chrono::steady_clock::now();
-        fn();
-        auto stop = std::chrono::steady_clock::now();
-        double ns =
-            std::chrono::duration<double, std::nano>(stop - start)
-                .count();
-        if (best == 0.0 || ns < best)
-            best = ns;
-    }
-    return best;
+    auto start = Clock::now();
+    fn();
+    return elapsedNs(start);
 }
 
-double
-calibrationWallSeconds(bool cached, bool quick)
+struct PairedTiming
 {
-    sharp::core::setStatsCacheEnabled(cached);
-    sharp::calibrate::CalibrationConfig config;
-    config.jobs = 4;
-    if (quick) {
-        config.seedsPerCell = 2;
-        config.maxSamples = 400;
-        config.truthSamples = 4096;
+    double scalarNs = 0.0;
+    double vectorNs = 0.0;
+    /** Median of the per-pair scalar/vector ratios. */
+    double speedup = 0.0;
+};
+
+/**
+ * @p pairs back-to-back (scalar, vector) calls, the order flipping
+ * every pair. Host drift then lands inside each pair, on both sides,
+ * instead of between a block of scalar calls and a block of vector
+ * calls; the median ratio ignores the pairs an interrupt hit. The ns
+ * are each side's fastest call.
+ */
+template <typename Scalar, typename Vector>
+PairedTiming
+pairedTiming(size_t pairs, Scalar &&scalar, Vector &&vector)
+{
+    PairedTiming t;
+    std::vector<double> ratios;
+    for (size_t p = 0; p < pairs; ++p) {
+        double s = 0.0, v = 0.0;
+        if (p % 2 == 0) {
+            s = callNs(scalar);
+            v = callNs(vector);
+        } else {
+            v = callNs(vector);
+            s = callNs(scalar);
+        }
+        keepFastest(t.scalarNs, s);
+        keepFastest(t.vectorNs, v);
+        ratios.push_back(s / v);
     }
-    auto start = std::chrono::steady_clock::now();
-    sharp::calibrate::runCalibration(config);
-    auto stop = std::chrono::steady_clock::now();
-    sharp::core::setStatsCacheEnabled(true);
-    return std::chrono::duration<double>(stop - start).count();
+    std::sort(ratios.begin(), ratios.end());
+    t.speedup = ratios[ratios.size() / 2];
+    return t;
 }
 
 } // anonymous namespace
@@ -304,139 +448,125 @@ main(int argc, char **argv)
 
     bench::banner("BENCH stopping",
                   quick ? "stopping-rule hot path (quick smoke gate)"
-                        : "stopping-rule hot path, incremental vs batch");
+                        : "stopping-rule hot path and engine accessors");
 
     std::vector<size_t> sizes = {100, 1000, 10000};
     if (!quick)
         sizes.push_back(100000);
 
     sharp::json::Value doc = sharp::json::Value::makeObject();
-    doc.set("schema", "sharp-bench-stopping-v1");
+    doc.set("schema", "sharp-bench-stopping-v2");
     doc.set("mode", quick ? "quick" : "full");
-    doc.set("cutover", sharp::core::statsCacheCutover());
+    doc.set("cutover", sharp::core::kStatsCacheCutover);
     sharp::json::Value size_arr = sharp::json::Value::makeArray();
     for (size_t n : sizes)
         size_arr.append(n);
     doc.set("sizes", size_arr);
 
-    bool all_equivalent = true;
+    bool all_equal = true;
     bool gates_pass = true;
-    sharp::json::Value rules_json = sharp::json::Value::makeArray();
 
+    // ---- Rule rows: the engine only.
+    sharp::json::Value rules_json = sharp::json::Value::makeArray();
     for (const RuleCase &rc : ruleCases) {
         bench::section(std::string(rc.rule) + " on " + rc.stream);
-        std::printf("%10s %14s %14s %9s %16s %14s\n", "n", "incr ns/eval",
-                    "batch ns/eval", "speedup", "incr cmp/eval",
-                    "incr pmf/eval");
-
-        sharp::json::Value rule_json = sharp::json::Value::makeObject();
-        rule_json.set("rule", rc.rule);
-        rule_json.set("stream", rc.stream);
+        std::printf("%10s %14s %12s %12s\n", "n", "ns/eval", "cmp/eval",
+                    "pmf/eval");
         sharp::json::Value points = sharp::json::Value::makeArray();
-
         for (size_t n : sizes) {
-            // Fewer timed rounds at the largest size: the batch mode's
-            // per-eval cost is linear-plus, and the KDE-based rules pay
-            // an uncached O(n) density pass in both modes. Sizes up to
-            // 10^4 instead get several repetitions and a min-of-8,
-            // because a single window there is noise-dominated — at
-            // n = 10^4 one repetition once reported a phantom 0.83x
-            // "regression" that vanished under repetition.
-            size_t evals = n >= 100000 ? 8 : 64;
-            size_t repeats = n <= 10000 ? 8 : 1;
-            auto [incr, batch] =
-                measurePoint(rc.rule, rc.stream, n, evals, repeats);
-
-            bool equivalent = sameDecisions(incr.decisions, batch.decisions);
-            all_equivalent = all_equivalent && equivalent;
-
-            double speedup = incr.nsPerEval > 0.0
-                                 ? batch.nsPerEval / incr.nsPerEval
-                                 : 0.0;
-            std::printf("%10zu %14.0f %14.0f %8.1fx %16.0f %14.0f%s\n", n,
-                        incr.nsPerEval, batch.nsPerEval, speedup,
-                        incr.comparisonsPerEval, incr.pmfEvalsPerEval,
-                        equivalent ? "" : "  DECISIONS DIVERGED");
+            Plan plan = planFor(n);
+            RulePoint r = measureRule(rc, n);
+            std::printf("%10zu %14.0f %12.1f %12.1f\n", n, r.nsPerEval,
+                        r.comparisonsPerEval, r.pmfEvalsPerEval);
 
             sharp::json::Value point = sharp::json::Value::makeObject();
             point.set("n", n);
-            point.set("evals", evals);
-            point.set("repeats", repeats);
-            point.set("incremental_ns_per_eval", incr.nsPerEval);
-            point.set("batch_ns_per_eval", batch.nsPerEval);
-            point.set("speedup", speedup);
-            point.set("incremental_comparisons_per_eval",
-                      incr.comparisonsPerEval);
-            point.set("batch_comparisons_per_eval",
-                      batch.comparisonsPerEval);
-            point.set("incremental_pmf_evals_per_eval",
-                      incr.pmfEvalsPerEval);
-            point.set("batch_pmf_evals_per_eval", batch.pmfEvalsPerEval);
-            point.set("decisions_bitwise_equal", equivalent);
+            point.set("evals", plan.evals);
+            point.set("repeats", plan.windows);
+            point.set("streams", plan.streams);
+            point.set("ns_per_eval", r.nsPerEval);
+            point.set("comparisons_per_eval", r.comparisonsPerEval);
+            point.set("pmf_evals_per_eval", r.pmfEvalsPerEval);
             points.append(std::move(point));
-
-            // Deterministic sub-linearity gate on the cached fast
-            // paths: per eval they must do a small fraction of the
-            // batch mode's structural work (which re-sorts, so it is
-            // at least n log n comparisons). The counters are exact
-            // replay counts, not timings, so the bound is stable.
-            // Sub-cutover gate: a series that never outgrows the size
-            // cutover runs the identical batch code in both modes, so
-            // the work counters must agree *exactly* and the wall
-            // ratio can only differ by timing noise. This is the
-            // regression guard for the small-n overhead the cutover
-            // exists to remove.
-            if (n + evals <= sharp::core::statsCacheCutover()) {
-                if (incr.totalComparisons != batch.totalComparisons ||
-                    incr.totalPmfEvals != batch.totalPmfEvals) {
-                    std::printf(
-                        "  GATE: sub-cutover counters differ "
-                        "(cmp %llu vs %llu, pmf %llu vs %llu)\n",
-                        static_cast<unsigned long long>(
-                            incr.totalComparisons),
-                        static_cast<unsigned long long>(
-                            batch.totalComparisons),
-                        static_cast<unsigned long long>(
-                            incr.totalPmfEvals),
-                        static_cast<unsigned long long>(
-                            batch.totalPmfEvals));
-                    gates_pass = false;
-                }
-                if (speedup < 0.7) {
-                    std::printf("  GATE: sub-cutover speedup %.2fx "
-                                "below 0.7 (modes should run "
-                                "identical code)\n",
-                                speedup);
-                    gates_pass = false;
-                }
-            }
 
             bool counter_gated = std::string(rc.rule) == "ks" ||
                                  std::string(rc.rule) == "median-ci" ||
                                  std::string(rc.rule) == "meta";
+            double nd = static_cast<double>(n);
             if (counter_gated && n >= 10000) {
-                if (incr.comparisonsPerEval >
-                    batch.comparisonsPerEval / 10.0) {
-                    std::printf("  GATE: comparisons/eval %.0f not "
-                                "sub-linear vs batch %.0f\n",
-                                incr.comparisonsPerEval,
-                                batch.comparisonsPerEval);
+                if (r.comparisonsPerEval > nd) {
+                    std::printf("  GATE: comparisons/eval %.0f above "
+                                "n = %zu\n",
+                                r.comparisonsPerEval, n);
                     gates_pass = false;
                 }
-                if (batch.pmfEvalsPerEval > 0.0 &&
-                    incr.pmfEvalsPerEval > batch.pmfEvalsPerEval / 5.0) {
-                    std::printf("  GATE: pmf evals/eval %.0f not "
-                                "sub-linear vs batch %.0f\n",
-                                incr.pmfEvalsPerEval,
-                                batch.pmfEvalsPerEval);
+                if (r.pmfEvalsPerEval > 10.0 * std::sqrt(nd)) {
+                    std::printf("  GATE: pmf evals/eval %.0f above "
+                                "10 sqrt(n) = %.0f\n",
+                                r.pmfEvalsPerEval, 10.0 * std::sqrt(nd));
                     gates_pass = false;
                 }
             }
         }
+        sharp::json::Value rule_json = sharp::json::Value::makeObject();
+        rule_json.set("rule", rc.rule);
+        rule_json.set("stream", rc.stream);
         rule_json.set("points", std::move(points));
         rules_json.append(std::move(rule_json));
     }
     doc.set("rules", std::move(rules_json));
+
+    // ---- Accessor rows: engine vs the src/stats recomputation.
+    sharp::json::Value accessors_json = sharp::json::Value::makeArray();
+    for (const AccessorCase &ac : accessorCases) {
+        bench::section(std::string(ac.accessor) + " on " + ac.stream +
+                       ", engine vs src/stats");
+        std::printf("%10s %14s %14s %12s %8s\n", "n", "engine ns/eval",
+                    "stats ns/eval", "stats/engine", "bits");
+        sharp::json::Value points = sharp::json::Value::makeArray();
+        for (size_t n : sizes) {
+            Plan plan = planFor(n);
+            AccessorPoint a = measureAccessor(ac, n);
+            double ratio = a.engineNsPerEval > 0.0
+                               ? a.statsNsPerEval / a.engineNsPerEval
+                               : 0.0;
+            all_equal = all_equal && a.bitwiseEqual;
+            std::printf("%10zu %14.0f %14.0f %11.2fx %8s%s\n", n,
+                        a.engineNsPerEval, a.statsNsPerEval, ratio,
+                        a.bitwiseEqual ? "equal" : "DIFFER",
+                        a.bitwiseEqual ? "" : "  READS DIVERGED");
+
+            sharp::json::Value point = sharp::json::Value::makeObject();
+            point.set("n", n);
+            point.set("evals", plan.evals);
+            point.set("repeats", plan.windows);
+            point.set("streams", plan.streams);
+            point.set("engine_ns_per_eval", a.engineNsPerEval);
+            point.set("stats_ns_per_eval", a.statsNsPerEval);
+            point.set("stats_over_engine", ratio);
+            point.set("bitwise_equal", a.bitwiseEqual);
+            points.append(std::move(point));
+
+            // Windows that never outgrow the cutover run the batch
+            // code inside the engine, so the two sides can differ by
+            // noise only: the guard on the small-n overhead the cutover
+            // exists to remove.
+            if (n + plan.evals <= sharp::core::kStatsCacheCutover &&
+                ratio < 0.7) {
+                std::printf("  GATE: src/stats-to-engine time ratio "
+                            "%.2f below the cutover, under 0.7\n",
+                            ratio);
+                gates_pass = false;
+            }
+        }
+        sharp::json::Value accessor_json =
+            sharp::json::Value::makeObject();
+        accessor_json.set("accessor", ac.accessor);
+        accessor_json.set("stream", ac.stream);
+        accessor_json.set("points", std::move(points));
+        accessors_json.append(std::move(accessor_json));
+    }
+    doc.set("accessors", std::move(accessors_json));
 
     // ---- SIMD kernel micro-bench: every runnable backend vs scalar.
     namespace simd = sharp::simd;
@@ -457,17 +587,15 @@ main(int argc, char **argv)
 
     const simd::KernelTable &scalar =
         simd::kernelTable(simd::Backend::Scalar);
-    const size_t kernel_windows = 25;
+    const size_t kernel_pairs = 25;
     const std::vector<size_t> kernel_sizes = {10000, 100000};
     bool vector_runnable = runnable.front() != simd::Backend::Scalar;
 
     sharp::json::Value kernels_json = sharp::json::Value::makeArray();
     for (const char *kernel : {"ks", "merge"}) {
+        bool merge = std::strcmp(kernel, "merge") == 0;
         std::printf("%-6s %10s %10s %14s %9s %8s\n", kernel, "n",
                     "backend", "ns/call", "speedup", "bits");
-        sharp::json::Value kernel_json =
-            sharp::json::Value::makeObject();
-        kernel_json.set("kernel", kernel);
         sharp::json::Value kpoints = sharp::json::Value::makeArray();
 
         for (size_t n : kernel_sizes) {
@@ -478,64 +606,60 @@ main(int argc, char **argv)
             std::vector<double> ref_merge(2 * n), out_merge(2 * n);
             uint64_t ref_cmp = scalar.mergeSorted(
                 a.data(), n, b2.data(), n, ref_merge.data());
-            double ref_ks =
-                scalar.ksSorted(a.data(), n, b2.data(), n);
+            double ref_ks = scalar.ksSorted(a.data(), n, b2.data(), n);
+
+            auto call = [&](const simd::KernelTable &table) {
+                return [&, kernels = &table] {
+                    if (merge) {
+                        kernels->mergeSorted(a.data(), n, b2.data(), n,
+                                             out_merge.data());
+                    } else {
+                        volatile double sink = kernels->ksSorted(
+                            a.data(), n, b2.data(), n);
+                        (void)sink;
+                    }
+                };
+            };
+            auto scalar_call = call(scalar);
 
             sharp::json::Value point = sharp::json::Value::makeObject();
             point.set("n", n);
+            point.set("pairs", kernel_pairs);
             sharp::json::Value backends_json =
                 sharp::json::Value::makeArray();
-
-            // Scalar is timed first so every backend row can report
-            // its speedup, even though scalar sits last in probe
-            // order.
-            double scalar_ns =
-                std::strcmp(kernel, "merge") == 0
-                    ? minWallNs(kernel_windows,
-                                [&] {
-                                    scalar.mergeSorted(
-                                        a.data(), n, b2.data(), n,
-                                        out_merge.data());
-                                })
-                    : minWallNs(kernel_windows, [&] {
-                          volatile double sink = scalar.ksSorted(
-                              a.data(), n, b2.data(), n);
-                          (void)sink;
-                      });
-
+            // Scalar's fastest call across every backend's pairs (or
+            // alone, on a host with no vector backend); it probes last.
+            double scalar_ns = 0.0;
             for (simd::Backend b : runnable) {
                 const simd::KernelTable &table = simd::kernelTable(b);
                 bool bits_equal = true;
-                double ns = 0.0;
-                if (std::strcmp(kernel, "merge") == 0) {
+                if (merge) {
                     uint64_t cmp = table.mergeSorted(
                         a.data(), n, b2.data(), n, out_merge.data());
                     bits_equal =
                         cmp == ref_cmp &&
                         std::memcmp(out_merge.data(), ref_merge.data(),
                                     2 * n * sizeof(double)) == 0;
-                    ns = b == simd::Backend::Scalar
-                             ? scalar_ns
-                             : minWallNs(kernel_windows, [&] {
-                                   table.mergeSorted(a.data(), n,
-                                                     b2.data(), n,
-                                                     out_merge.data());
-                               });
                 } else {
-                    double d =
-                        table.ksSorted(a.data(), n, b2.data(), n);
-                    bits_equal = sameBits(d, ref_ks);
-                    ns = b == simd::Backend::Scalar
-                             ? scalar_ns
-                             : minWallNs(kernel_windows, [&] {
-                                   volatile double sink = table.ksSorted(
-                                       a.data(), n, b2.data(), n);
-                                   (void)sink;
-                               });
+                    bits_equal = sameBits(
+                        table.ksSorted(a.data(), n, b2.data(), n), ref_ks);
                 }
-                double speedup =
-                    ns > 0.0 && scalar_ns > 0.0 ? scalar_ns / ns : 0.0;
-                all_equivalent = all_equivalent && bits_equal;
+                all_equal = all_equal && bits_equal;
+
+                double ns = 0.0, speedup = 1.0;
+                if (b != simd::Backend::Scalar) {
+                    PairedTiming t = pairedTiming(kernel_pairs, scalar_call,
+                                                  call(table));
+                    keepFastest(scalar_ns, t.scalarNs);
+                    ns = t.vectorNs;
+                    speedup = t.speedup;
+                } else {
+                    if (scalar_ns == 0.0) {
+                        for (size_t w = 0; w < kernel_pairs; ++w)
+                            keepFastest(scalar_ns, callNs(scalar_call));
+                    }
+                    ns = scalar_ns;
+                }
 
                 std::printf("%-6s %10zu %10s %14.0f %8.2fx %8s%s\n", "",
                             n, simd::backendName(b), ns, speedup,
@@ -551,8 +675,7 @@ main(int argc, char **argv)
 
                 // The point of the vector kernels: on a vector-capable
                 // host the dispatched best backend must clearly beat
-                // scalar at the size where vectorization pays. min-of-
-                // windows timings make this stable enough to gate on.
+                // scalar at the size where vectorization pays.
                 if (vector_runnable && b == runnable.front() &&
                     n == 100000 && speedup < 1.5) {
                     std::printf("  GATE: %s backend %.2fx over scalar "
@@ -564,43 +687,34 @@ main(int argc, char **argv)
             point.set("backends", std::move(backends_json));
             kpoints.append(std::move(point));
         }
+        sharp::json::Value kernel_json = sharp::json::Value::makeObject();
+        kernel_json.set("kernel", kernel);
         kernel_json.set("points", std::move(kpoints));
         kernels_json.append(std::move(kernel_json));
     }
     doc.set("simd_kernels", std::move(kernels_json));
 
-    bench::section("sharp calibrate wall time");
-    double cal_incr = calibrationWallSeconds(true, quick);
-    double cal_batch = calibrationWallSeconds(false, quick);
-    std::printf("incremental %.2fs   batch %.2fs   speedup %.1fx\n",
-                cal_incr, cal_batch,
-                cal_incr > 0.0 ? cal_batch / cal_incr : 0.0);
-    sharp::json::Value cal = sharp::json::Value::makeObject();
-    cal.set("incremental_wall_seconds", cal_incr);
-    cal.set("batch_wall_seconds", cal_batch);
-    cal.set("speedup", cal_incr > 0.0 ? cal_batch / cal_incr : 0.0);
-    doc.set("calibration", std::move(cal));
-
-    doc.set("decisions_bitwise_equal", all_equivalent);
+    doc.set("bitwise_equal", all_equal);
     sharp::json::writeFile(doc, out);
     std::printf("\nwrote %s\n", out.c_str());
 
-    if (!all_equivalent) {
+    if (!all_equal) {
         std::fprintf(stderr,
-                     "FAIL: a bit-exactness contract broke (incremental "
-                     "vs batch decisions, or a SIMD backend vs "
+                     "FAIL: a bit-exactness contract broke (an engine "
+                     "accessor vs src/stats, or a SIMD backend vs "
                      "scalar)\n");
         return 1;
     }
     if (!gates_pass) {
         std::fprintf(stderr,
-                     "FAIL: a gate tripped (work-counter sub-linearity "
-                     "above the cutover, batch-equivalence below it, or "
-                     "SIMD kernel speedup under 1.5x)\n");
+                     "FAIL: a gate tripped (work-counter sub-linearity, "
+                     "small-n overhead below the cutover, or SIMD "
+                     "kernel speedup under 1.5x)\n");
         return 1;
     }
-    std::printf("incremental == batch bit-for-bit across %zu rules x %zu "
-                "sizes\n",
-                sizeof(ruleCases) / sizeof(ruleCases[0]), sizes.size());
+    std::printf("engine == src/stats bit-for-bit across %zu accessors x "
+                "%zu sizes\n",
+                sizeof(accessorCases) / sizeof(accessorCases[0]),
+                sizes.size());
     return 0;
 }

@@ -15,7 +15,7 @@
 #include "rng/xoshiro.hh"
 #include "stats/ci.hh"
 #include "stats/descriptive.hh"
-#include "stats/similarity.hh"
+#include "stats/ecdf.hh"
 #include "util/string_utils.hh"
 #include "util/thread_pool.hh"
 
@@ -109,7 +109,7 @@ runCell(const CalibrationConfig &config, const std::string &rule_name,
     // arrives pre-sorted from runCalibration.
     const auto &values = series.values();
     cell.postStopKs = artifactRound(
-        stats::ksDistanceSorted(series.stats().sorted(), truth));
+        stats::ksStatisticSorted(series.stats().sorted(), truth));
 
     cell.ciApplicable = meanCiApplicable(spec.truth) && values.size() >= 2;
     if (cell.ciApplicable) {

@@ -7,7 +7,6 @@
 #include "compare/bundle.hh"
 #include "compare/compare.hh"
 #include "core/config.hh"
-#include "core/stopping/stopping_rule.hh"
 #include "json/parser.hh"
 #include "launcher/fault_backend.hh"
 #include "launcher/reproduce.hh"
@@ -202,21 +201,13 @@ checkMetadata(const std::string &text, CheckResult &out)
         }
     }
 
-    if (!spec.statsCache &&
-        core::ruleHasCachedFastPath(spec.experiment.ruleName)) {
-        out.report(
-            Severity::Warning,
-            json::Location{static_cast<uint32_t>(findLine(
-                               text, "repro_stats_cache")),
-                           0},
-            "disabled-stats-cache",
-            "metadata pins rule '" + spec.experiment.ruleName +
-                "', which has an incremental fast path, to a run with "
-                "the statistics engine disabled "
-                "(repro_stats_cache=off); the reproduction recomputes "
-                "every statistic batch-style",
-            "decisions are bit-identical either way — unset "
-            "SHARP_STATS_CACHE to reproduce at full speed");
+    if (doc.get("Configuration", "repro_stats_cache")) {
+        out.report(Severity::Note,
+                   json::Location{static_cast<uint32_t>(findLine(
+                                      text, "repro_stats_cache")),
+                                  0},
+                   "obsolete-stats-cache",
+                   launcher::obsoleteStatsCacheMessage);
     }
 }
 

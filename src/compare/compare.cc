@@ -7,7 +7,7 @@
 
 #include "check/diagnostic.hh"
 #include "stats/descriptive.hh"
-#include "stats/similarity.hh"
+#include "stats/ecdf.hh"
 #include "util/string_utils.hh"
 
 namespace sharp
@@ -42,7 +42,7 @@ compareScenario(const ScenarioSamples &base, const ScenarioSamples &cand,
     out.name = base.name;
     out.baselineCount = base.sorted.size();
     out.candidateCount = cand.sorted.size();
-    out.ksDistance = stats::ksDistanceSorted(base.sorted, cand.sorted);
+    out.ksDistance = stats::ksStatisticSorted(base.sorted, cand.sorted);
     for (double p : kShiftQuantiles) {
         QuantileShift shift;
         shift.p = p;

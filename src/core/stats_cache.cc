@@ -1,12 +1,8 @@
 #include "core/stats_cache.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <cctype>
 #include <cmath>
-#include <cstdlib>
 #include <stdexcept>
-#include <string>
 
 #include "core/sample_series.hh"
 #include "simd/dispatch.hh"
@@ -21,47 +17,6 @@ namespace core
 
 namespace
 {
-
-bool
-initialStatsCacheEnabled()
-{
-    const char *env = std::getenv("SHARP_STATS_CACHE");
-    if (env != nullptr) {
-        std::string v(env);
-        for (char &c : v)
-            c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-        if (v == "off" || v == "0" || v == "false" || v == "no")
-            return false;
-    }
-    return true;
-}
-
-std::atomic<bool> &
-statsCacheFlag()
-{
-    static std::atomic<bool> flag(initialStatsCacheEnabled());
-    return flag;
-}
-
-size_t
-initialStatsCacheCutover()
-{
-    const char *env = std::getenv("SHARP_STATS_CACHE_CUTOVER");
-    if (env != nullptr) {
-        char *end = nullptr;
-        unsigned long long parsed = std::strtoull(env, &end, 10);
-        if (end != env && *end == '\0')
-            return static_cast<size_t>(parsed);
-    }
-    return kDefaultStatsCacheCutover;
-}
-
-std::atomic<size_t> &
-statsCacheCutoverValue()
-{
-    static std::atomic<size_t> cutover(initialStatsCacheCutover());
-    return cutover;
-}
 
 /**
  * NaN-safe ordering that counts its invocations. For NaN-free data it
@@ -79,11 +34,12 @@ struct CountingLess
     operator()(double a, double b) const
     {
         ++*count;
-        if (std::isnan(b))
-            return !std::isnan(a);
-        if (std::isnan(a))
-            return false;
-        return a < b;
+        // Plain operator< first: a true result already rules out NaN,
+        // so NaN-free data pays one compare, and a small batch sort
+        // runs within a few percent of std::sort's default ordering.
+        if (a < b)
+            return true;
+        return std::isnan(b) && !std::isnan(a);
     }
 };
 
@@ -96,29 +52,10 @@ checkLevel(double level)
 
 } // anonymous namespace
 
-bool
-statsCacheEnabled()
-{
-    return statsCacheFlag().load(std::memory_order_relaxed);
-}
-
-void
-setStatsCacheEnabled(bool enabled)
-{
-    statsCacheFlag().store(enabled, std::memory_order_relaxed);
-}
-
-size_t
-statsCacheCutover()
-{
-    return statsCacheCutoverValue().load(std::memory_order_relaxed);
-}
-
-void
-setStatsCacheCutover(size_t cutover)
-{
-    statsCacheCutoverValue().store(cutover, std::memory_order_relaxed);
-}
+// The incremental branches skip the small-n special cases of the batch
+// code they replace (stats::medianCi's n < 6 closed form, quantile's
+// n == 1); the batch branch owns every size up to the cutover.
+static_assert(kStatsCacheCutover >= 6);
 
 StatsCache::StatsCache(const SampleSeries &owner_) : owner(owner_) {}
 
@@ -128,7 +65,7 @@ StatsCache::batchMode() const
     // The batch branches never touch the incremental structures, so a
     // small series pays nothing for the engine; the first access past
     // the cutover ingests the whole series in one pass (sync()).
-    return !statsCacheEnabled() || owner.size() <= statsCacheCutover();
+    return owner.size() <= kStatsCacheCutover;
 }
 
 void
@@ -290,10 +227,9 @@ StatsCache::quantile(double p)
         return stats::quantileSorted(sorted(), p);
     sync();
     size_t n = owner.size();
-    if (n == 1)
-        return orderStat(0);
     // Same arithmetic as stats::quantileSorted, fed by order statistics
-    // instead of a fully merged array.
+    // instead of a fully merged array (n > kStatsCacheCutover here, so
+    // its n == 1 special case cannot arise).
     double h = (static_cast<double>(n) - 1.0) * p;
     size_t lo = static_cast<size_t>(std::floor(h));
     size_t hi = std::min(lo + 1, n - 1);
@@ -448,12 +384,6 @@ StatsCache::medianCi(double level)
     }
 
     sync();
-    if (n < 6) {
-        double coverage =
-            1.0 - std::pow(0.5, static_cast<double>(n) - 1.0);
-        return {orderStat(0), orderStat(n - 1), coverage};
-    }
-
     // Warm-started search for the batch scan's k: the largest k in
     // [1, n/2] with coverage >= level (coverage shrinks as k grows).
     // Start from the previous evaluation's k and walk to the boundary,

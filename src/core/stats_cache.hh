@@ -31,27 +31,20 @@
  * batch recomputation in src/stats on the same data (NaN-free; with
  * NaNs the sorted view is still deterministic — NaNs order last —
  * where std::sort on the raw data would be undefined). This is what
- * keeps tests/baselines/calibration.json byte-identical with the cache
- * on or off.
+ * keeps tests/baselines/calibration.json byte-identical on either side
+ * of the size cutover below.
  *
  * Results are memoized keyed on SampleSeries::version(), so a cached
  * artifact can never outlive the data it was computed from; rules stay
  * stateless with respect to the data.
  *
- * Kill switch: setStatsCacheEnabled(false) (or SHARP_STATS_CACHE=off
- * in the environment) makes every accessor recompute batch-style —
- * identical results, pre-engine cost profile. The bench uses this as
- * its batch reference; `sharp check` warns when a repro pins it off.
- *
  * Size cutover: below a few hundred samples the batch recomputation is
  * a handful of cache-resident sorts, and maintaining the incremental
- * structures costs more than it saves (BENCH_stopping.json showed the
- * CI rule at 0.24x at n=100). Accessors therefore take the batch
- * branch whenever the series is at or below statsCacheCutover()
- * (default 256, or SHARP_STATS_CACHE_CUTOVER in the environment); the
- * incremental structures are built in one pass on the first access
- * past the cutover. Results are bit-identical on both sides — the
- * batch branches *are* the src/stats recomputations.
+ * structures costs more than it saves. Accessors therefore take the
+ * batch branch whenever the series is at or below kStatsCacheCutover;
+ * the incremental structures are built in one pass on the first access
+ * past it. Results are bit-identical on both sides — the batch
+ * branches *are* the src/stats recomputations.
  */
 
 #ifndef SHARP_CORE_STATS_CACHE_HH
@@ -71,24 +64,16 @@ namespace core
 
 class SampleSeries;
 
-/** Is the incremental fast path on (default) or batch fallback? */
-bool statsCacheEnabled();
-
-/** Toggle the incremental fast path process-wide. */
-void setStatsCacheEnabled(bool enabled);
-
 /**
- * The series-size cutover: accessors on a series of size <= this use
- * the batch path even with the engine enabled (small-n batch work is
- * cheaper than incremental upkeep; results are identical either way).
+ * The series-size cutover: accessors on a series of size <= this run
+ * the batch src/stats recomputation; past it, the incremental
+ * structures. BENCH_stopping.json's accessor rows place it: at n=100
+ * every accessor runs at src/stats speed (0.92-1.00x), and at n=1000
+ * every one is faster incrementally, from 1.13x (meanCi) to 35x
+ * (sorted). Without a cutover, incremental upkeep made the CI rule
+ * 0.24x at n=100.
  */
-size_t statsCacheCutover();
-
-/** Set the cutover process-wide; 0 means incremental from n = 1. */
-void setStatsCacheCutover(size_t cutover);
-
-/** The shipped default cutover (also the reset value for tests). */
-inline constexpr size_t kDefaultStatsCacheCutover = 256;
+inline constexpr size_t kStatsCacheCutover = 256;
 
 /**
  * Deterministic work counters, the currency of the perf-regression
@@ -121,8 +106,9 @@ class StatsCache
     explicit StatsCache(const SampleSeries &owner);
 
     /**
-     * The full sorted sample (ascending). Forces a tail merge; prefer
-     * orderStat/quantile when only a few order statistics are needed.
+     * The full sorted sample (ascending); == std::sort over values()
+     * on NaN-free data. Forces a tail merge; prefer orderStat/quantile
+     * when only a few order statistics are needed.
      */
     const std::vector<double> &sorted();
 
@@ -143,7 +129,8 @@ class StatsCache
     double ksHalves();
 
     /**
-     * (min, max) of the first @p count samples in arrival order.
+     * (min, max) of the first @p count samples in arrival order; ==
+     * a std::min/std::max scan of values()[0, count).
      * @p count must be in [1, size()].
      */
     std::pair<double, double> prefixRange(size_t count);

@@ -155,24 +155,5 @@ makeTailoredSuite()
     return suite;
 }
 
-bool
-ruleHasCachedFastPath(const std::string &name)
-{
-    // Rules whose evaluate() reads through SampleSeries::stats().
-    // "fixed", "constant", and "autocorr-ess" consume only streaming
-    // aggregates or arrival-order values and are unaffected by the
-    // engine kill switch.
-    static const char *const cached[] = {
-        "ci",           "normal-ci", "geomean-ci",
-        "median-ci",    "ks",        "uniform-range",
-        "modality",     "tail-quantile", "meta",
-    };
-    for (const char *rule : cached) {
-        if (name == rule)
-            return true;
-    }
-    return false;
-}
-
 } // namespace core
 } // namespace sharp

@@ -123,17 +123,6 @@ class StoppingRuleFactory
  */
 std::vector<std::unique_ptr<StoppingRule>> makeTailoredSuite();
 
-/**
- * True when @p name names a registered rule whose evaluation consults
- * the incremental statistics engine's cached fast paths (sorted view,
- * half-split KS, order-statistic CIs, prefix extrema). Running such a
- * rule with the engine disabled (SHARP_STATS_CACHE=off) still produces
- * bit-identical decisions, but every evaluation recomputes the
- * statistics batch-style — `sharp check` warns when reproduction
- * metadata pins that combination. Unknown names return false.
- */
-bool ruleHasCachedFastPath(const std::string &name);
-
 } // namespace core
 } // namespace sharp
 

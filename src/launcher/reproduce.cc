@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "check/diagnostic.hh"
-#include "core/stats_cache.hh"
 #include "json/parser.hh"
 #include "json/writer.hh"
 #include "launcher/faas_backend.hh"
@@ -173,6 +172,10 @@ checkRunSpecImpl(const json::Value &doc, check::CheckResult &out,
     if (!semantic)
         return;
 
+    if (const json::Value *legacy = doc.find("stats_cache"))
+        out.report(check::Severity::Note, *legacy, "obsolete-stats-cache",
+                   obsoleteStatsCacheMessage);
+
     // Registry-reference lints: what a campaign would only discover
     // at backend-construction time, minutes into a queue slot.
     std::string kind = doc.getString("backend", "sim");
@@ -340,7 +343,6 @@ ReproSpec::fromJson(const json::Value &doc)
         spec.fault = FaultSpec::fromJson(*fault);
         spec.faultEnabled = true;
     }
-    spec.statsCache = doc.getBool("stats_cache", true);
     return spec;
 }
 
@@ -377,8 +379,6 @@ ReproSpec::toJson() const
         doc.set("retry", retry.toJson());
     if (faultEnabled)
         doc.set("fault", fault.toJson());
-    if (!statsCache)
-        doc.set("stats_cache", false);
     return doc;
 }
 
@@ -417,10 +417,6 @@ annotate(record::RunLog &log, const ReproSpec &spec)
     if (spec.faultEnabled)
         log.setConfigEntry("repro_fault",
                            json::write(spec.fault.toJson()));
-    // Record only the non-default: the engine state at record time (the
-    // kill switch is process-wide, so the spec field tracks it).
-    if (!spec.statsCache || !core::statsCacheEnabled())
-        log.setConfigEntry("repro_stats_cache", "off");
     // The dispatched SIMD backend is environment, not spec: decisions
     // are bitwise backend-invariant by the kernel contract, so this is
     // provenance for auditing, and `sharp reproduce` warns (not fails)
@@ -501,15 +497,6 @@ reproSpecFromMetadata(const record::MetadataDocument &doc)
     if (auto fault = doc.get(sec, "repro_fault")) {
         spec.fault = FaultSpec::fromJson(json::parse(*fault));
         spec.faultEnabled = true;
-    }
-    if (auto stats_cache = doc.get(sec, "repro_stats_cache")) {
-        if (*stats_cache == "off" || *stats_cache == "0" ||
-            *stats_cache == "false" || *stats_cache == "no") {
-            spec.statsCache = false;
-        } else if (*stats_cache != "on") {
-            throw std::invalid_argument(
-                "malformed repro_stats_cache entry");
-        }
     }
     return spec;
 }

@@ -89,15 +89,6 @@ struct ReproSpec
     FaultSpec fault;
     /** True when the fault-injection wrapper is active. */
     bool faultEnabled = false;
-    /**
-     * Whether the incremental statistics engine's cached fast paths
-     * were enabled when the experiment ran (the SHARP_STATS_CACHE kill
-     * switch). Never changes measured values or decisions — the engine
-     * is bit-exact — but `sharp check` warns when metadata pins a rule
-     * with a cached fast path to a run that had the engine disabled,
-     * since the reproduction then pays the batch-recompute cost.
-     */
-    bool statsCache = true;
 
     /** Launch options equivalent to this spec. */
     LaunchOptions launchOptions() const;
@@ -129,6 +120,17 @@ struct ReproSpec
  * throws; findings are appended to @p out.
  */
 void checkRunSpec(const json::Value &doc, check::CheckResult &out);
+
+/**
+ * Text of the `obsolete-stats-cache` note. Run specs and journal
+ * headers written before the statistics engine lost its off switch
+ * may carry "stats_cache", and their metadata `repro_stats_cache`;
+ * both still load, with the key ignored.
+ */
+inline constexpr const char *obsoleteStatsCacheMessage =
+    "the statistics-engine switch no longer exists and this key is "
+    "ignored; the engine always matched batch recomputation bit for "
+    "bit, so recorded results are unaffected";
 
 /** Record @p spec in @p log's metadata ("Reproduction" section). */
 void annotate(record::RunLog &log, const ReproSpec &spec);

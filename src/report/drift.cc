@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "report/ascii_plot.hh"
+#include "stats/ecdf.hh"
 #include "stats/kde.hh"
 #include "stats/similarity.hh"
 #include "util/string_utils.hh"
@@ -35,7 +36,7 @@ DriftReport::analyze(std::vector<std::string> labels_in,
     report.namd.assign(k, std::vector<double>(k, 0.0));
     for (size_t i = 0; i < k; ++i) {
         for (size_t j = i + 1; j < k; ++j) {
-            double d_ks = stats::ksDistance(samples[i], samples[j]);
+            double d_ks = stats::ksStatistic(samples[i], samples[j]);
             double d_namd = stats::namd(samples[i], samples[j]);
             report.ks[i][j] = report.ks[j][i] = d_ks;
             report.namd[i][j] = report.namd[j][i] = d_namd;

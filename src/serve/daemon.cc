@@ -58,6 +58,17 @@ workerSignalHandler(int)
     g_workerInterrupted.store(true); // NOLINT(bugprone-signal-handler)
 }
 
+/** The signals that park a worker: drain and cancel send SIGTERM. */
+sigset_t
+parkSignals()
+{
+    sigset_t set;
+    sigemptyset(&set);
+    sigaddset(&set, SIGTERM);
+    sigaddset(&set, SIGINT);
+    return set;
+}
+
 std::string
 campaignDir(const std::string &stateDir, const std::string &id)
 {
@@ -80,6 +91,10 @@ runWorkerProcess(const std::string &dir, const json::Value &specDoc,
     sigaction(SIGTERM, &action, nullptr);
     sigaction(SIGINT, &action, nullptr);
     std::signal(SIGPIPE, SIG_IGN);
+    // Blocked since before the fork (Supervisor::spawn): a SIGTERM that
+    // arrived meanwhile is delivered now, to the handler above.
+    sigset_t park = parkSignals();
+    pthread_sigmask(SIG_UNBLOCK, &park, nullptr);
 
     try {
         std::string base = dir + "/result";
@@ -250,7 +265,17 @@ Supervisor::spawn(size_t slotIndex, size_t entryIndex)
     // journal may exist for this campaign.
     queue->start(entry.c.id, slotIndex);
 
+    // Until runWorkerProcess installs its handler, the child would run
+    // the supervisor's inherited one, and a drain or cancel SIGTERM
+    // sent in that window would be lost: the worker would then run its
+    // campaign to the end. Blocked across the fork, it stays pending.
+    sigset_t park = parkSignals();
+    sigset_t previous;
+    sigemptyset(&previous);
+    pthread_sigmask(SIG_BLOCK, &park, &previous);
     pid_t pid = ::fork();
+    if (pid != 0)
+        pthread_sigmask(SIG_SETMASK, &previous, nullptr);
     if (pid < 0) {
         err << "fork failed for " << entry.c.id << ": "
             << std::strerror(errno) << "\n";

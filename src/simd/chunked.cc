@@ -87,7 +87,8 @@ struct Lane
  * real data, and one mispredicted branch per step would serialize all
  * four lanes through the same recovery penalty — exactly the cost
  * this kernel exists to hide. The only branch left guards the eval
- * block, which fires a handful of times per call.
+ * block on the integer gap reaching the lane's running best, which
+ * happens O(sqrt n) times per call.
  */
 __attribute__((always_inline)) static inline void
 stepLane(Lane &s, const double *a, size_t na, const double *b,
@@ -104,11 +105,12 @@ stepLane(Lane &s, const double *a, size_t na, const double *b,
     s.cum += neg_lna + ((lnb - neg_lna) & -t);
     s.va = a[std::min(s.ia, na - 1)];
     s.vb = b[std::min(s.ib, nb - 1)];
-    int at_boundary =
-        (static_cast<int>(s.ia >= na) | static_cast<int>(s.va != v)) &
-        (static_cast<int>(s.ib >= nb) | static_cast<int>(s.vb != v));
+    // The integer guard goes first, so the tie-group boundary test
+    // runs only behind that rarely taken branch instead of costing a
+    // dozen uops on every step.
     long long gap = s.cum < 0 ? -s.cum : s.cum;
-    if (at_boundary & static_cast<int>(gap >= s.best)) {
+    if (gap >= s.best && (s.ia >= na || s.va != v) &&
+        (s.ib >= nb || s.vb != v)) {
         s.best = gap;
         double fa =
             static_cast<double>(s.ia) / static_cast<double>(na);

@@ -280,12 +280,5 @@ kernels()
     return *table;
 }
 
-double
-ksSortedReference(const double *a, size_t na, const double *b,
-                  size_t nb)
-{
-    return detail::ksSortedReferenceScalar(a, na, b, nb);
-}
-
 } // namespace simd
 } // namespace sharp

@@ -86,8 +86,8 @@ struct KernelTable
 
     /**
      * Two-sample KS statistic over two ascending runs; bit-identical
-     * to ksSortedReference (sizes past 2^31 and NaN inputs take the
-     * reference path internally).
+     * to the reference walk detail::ksSortedReferenceScalar (sizes
+     * past 2^31 and NaN inputs take that walk internally).
      */
     double (*ksSorted)(const double *a, size_t na, const double *b,
                        size_t nb);
@@ -169,14 +169,6 @@ const KernelTable &kernels();
  * bench loop). @throws std::invalid_argument when not compiled in.
  */
 const KernelTable &kernelTable(Backend backend);
-
-/**
- * The scalar reference KS walk (the executable specification the fast
- * path must reproduce bit for bit; stats::ksStatisticSortedReference
- * delegates here).
- */
-double ksSortedReference(const double *a, size_t na, const double *b,
-                         size_t nb);
 
 } // namespace simd
 } // namespace sharp

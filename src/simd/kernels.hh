@@ -4,7 +4,8 @@
  * (defined in scalar.cc, compiled for the baseline ISA so they are
  * safe to call from any backend's fallback paths) and the per-backend
  * table constructors dispatch.cc wires up. Nothing here is part of
- * the public surface; include simd/dispatch.hh instead.
+ * the public surface (tests include it for the reference KS walk);
+ * include simd/dispatch.hh instead.
  */
 
 #ifndef SHARP_SIMD_KERNELS_HH
@@ -30,8 +31,17 @@ uint64_t mergeSortedScalar(const double *a, size_t na, const double *b,
                            size_t nb, double *out);
 double ksSortedScalar(const double *a, size_t na, const double *b,
                       size_t nb);
+
+/**
+ * The reference two-sample KS walk: the ECDF gap in doubles at every
+ * tie-group boundary. It is the executable specification that
+ * ksSortedScalar's integer-guarded walk and every vector backend
+ * reproduce bit for bit (the tests reach it through this header), and
+ * ksSortedScalar's fallback past 2^31 samples.
+ */
 double ksSortedReferenceScalar(const double *a, size_t na,
                                const double *b, size_t nb);
+
 double orderStatTwoRunsScalar(const double *a, size_t na,
                               const double *b, size_t nb, size_t k,
                               uint64_t *comparisons);

@@ -74,16 +74,6 @@ ksStatisticSorted(const std::vector<double> &a,
 }
 
 double
-ksStatisticSortedReference(const std::vector<double> &a,
-                           const std::vector<double> &b)
-{
-    if (a.empty() || b.empty())
-        throw std::invalid_argument("ksStatistic requires non-empty samples");
-    return simd::ksSortedReference(a.data(), a.size(), b.data(),
-                                   b.size());
-}
-
-double
 ksStatisticAgainstSorted(const std::vector<double> &sorted,
                          const std::function<double(double)> &cdf)
 {

@@ -61,20 +61,11 @@ double ksStatistic(const Ecdf &a, const Ecdf &b);
  * linear merge walk with no copying or sorting. This is the form the
  * incremental statistics engine (core::StatsCache) evaluates against
  * its maintained sorted runs; bit-identical to ksStatistic on the same
- * multisets.
+ * multisets, and to the reference walk in src/simd
+ * (simd::detail::ksSortedReferenceScalar) that specifies it.
  */
 double ksStatisticSorted(const std::vector<double> &a,
                          const std::vector<double> &b);
-
-/**
- * Reference implementation of the two-sample sorted walk: evaluates the
- * ECDF gap in doubles at every tie-group boundary. ksStatisticSorted's
- * integer-guarded fast path must agree with this bit for bit (the
- * equivalence property tests enforce it); it is also the fallback for
- * samples too large for the integer scaling.
- */
-double ksStatisticSortedReference(const std::vector<double> &a,
-                                  const std::vector<double> &b);
 
 /**
  * One-sample Kolmogorov–Smirnov statistic against a theoretical CDF:

@@ -84,19 +84,6 @@ namd(const std::vector<double> &x, const std::vector<double> &y)
 }
 
 double
-ksDistance(const std::vector<double> &x, const std::vector<double> &y)
-{
-    return ksStatistic(x, y);
-}
-
-double
-ksDistanceSorted(const std::vector<double> &sx,
-                 const std::vector<double> &sy)
-{
-    return ksStatisticSorted(sx, sy);
-}
-
-double
 wasserstein1Sorted(const std::vector<double> &sx,
                    const std::vector<double> &sy)
 {
@@ -227,7 +214,7 @@ SimilarityReport::compute(const std::vector<double> &x,
 
     SimilarityReport report;
     report.namd = namdSorted(sx, sy);
-    report.ks = ksDistanceSorted(sx, sy);
+    report.ks = ksStatisticSorted(sx, sy);
     report.wasserstein = wasserstein1Sorted(sx, sy);
     report.overlap = overlapCoefficient(x, y);
     report.jensenShannon = jensenShannonDivergence(x, y);

@@ -44,17 +44,6 @@ double namdSorted(const std::vector<double> &sx,
                   const std::vector<double> &sy);
 
 /**
- * Two-sample Kolmogorov–Smirnov distance in [0, 1]; re-exported here so
- * similarity consumers need one header. See ecdf.hh.
- */
-double ksDistance(const std::vector<double> &x,
-                  const std::vector<double> &y);
-
-/** KS distance over already-sorted samples (ascending). */
-double ksDistanceSorted(const std::vector<double> &sx,
-                        const std::vector<double> &sy);
-
-/**
  * 1-Wasserstein (earth-mover) distance between empirical distributions,
  * computed as the L1 distance between quantile functions.
  */

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "check/analyzer.hh"
@@ -16,8 +17,10 @@
 #include "cli/cli.hh"
 #include "core/config.hh"
 #include "json/parser.hh"
+#include "json/writer.hh"
 #include "launcher/reproduce.hh"
 #include "record/journal.hh"
+#include "record/run_log.hh"
 #include "workflow/workflow_parser.hh"
 
 namespace
@@ -382,64 +385,94 @@ TEST(Fixtures, StaleBaselineCellWarnsAndMissingCellErrors)
 
 TEST(CheckMetadata, WarnsWhenCachedRuleRanWithEngineDisabled)
 {
-    // Metadata recording a KS run with the statistics engine disabled:
-    // the reproduction is still bit-exact, but pays the batch-recompute
-    // cost on every evaluation — worth a warning, located at the
-    // repro_stats_cache entry.
+    // Metadata recorded with the statistics engine switched off, from
+    // before the switch was removed: the key is ignored on load, and
+    // the check says so with one note at the entry's line — no
+    // warning, since the engine never changed a result.
     launcher::ReproSpec spec;
     spec.backendKind = "sim";
     spec.workload = "hotspot";
     spec.machines = {"machine1"};
     spec.experiment.ruleName = "ks";
-    spec.statsCache = false;
     record::RunLog log("hotspot");
     launcher::annotate(log, spec);
+    log.setConfigEntry("repro_stats_cache", "off");
     std::string text = log.toMetadata().render();
 
     CheckResult result;
     check::checkArtifactText("run.md", text, ArtifactKind::Unknown,
                              result);
-    const check::Diagnostic *slow =
-        findRule(result, "disabled-stats-cache");
-    ASSERT_NE(slow, nullptr);
-    EXPECT_EQ(slow->severity, Severity::Warning);
-    EXPECT_NE(slow->message.find("'ks'"), std::string::npos);
-    EXPECT_GT(slow->line, 0u);
-    EXPECT_NE(slow->hint.find("SHARP_STATS_CACHE"), std::string::npos);
-    // The embedded run spec carries "stats_cache": false; the field
-    // whitelist must know it, or every off-cache artifact gets a bogus
-    // typo warning on top of the intended one.
-    EXPECT_EQ(findRule(result, "unknown-field"), nullptr);
+    EXPECT_EQ(result.exitCode(), 0) << result.renderText();
+    ASSERT_EQ(result.diagnostics().size(), 1u) << result.renderText();
+    const check::Diagnostic &note = result.diagnostics().front();
+    EXPECT_EQ(note.rule, "obsolete-stats-cache");
+    EXPECT_EQ(note.severity, Severity::Note);
+    size_t line = 1 + static_cast<size_t>(std::count(
+                          text.begin(),
+                          text.begin() + static_cast<long>(
+                                             text.find("repro_stats_cache")),
+                          '\n'));
+    EXPECT_EQ(note.line, line);
 }
 
 TEST(CheckMetadata, NoWarningForRulesWithoutACachedFastPath)
 {
-    // The fixed-count rule never consults the engine, so a disabled
-    // cache changes nothing; the lint must stay quiet.
-    launcher::ReproSpec spec;
-    spec.backendKind = "sim";
-    spec.workload = "hotspot";
-    spec.machines = {"machine1"};
-    spec.experiment.ruleName = "fixed";
-    spec.statsCache = false;
-    record::RunLog log("hotspot");
-    launcher::annotate(log, spec);
+    // Every rule, with or without engine-backed statistics: current
+    // metadata records no engine state, and `sharp check` is silent.
+    for (const char *rule : {"fixed", "ks"}) {
+        launcher::ReproSpec spec;
+        spec.backendKind = "sim";
+        spec.workload = "hotspot";
+        spec.machines = {"machine1"};
+        spec.experiment.ruleName = rule;
+        record::RunLog log("hotspot");
+        launcher::annotate(log, spec);
+        std::string text = log.toMetadata().render();
+        EXPECT_EQ(text.find("repro_stats_cache"), std::string::npos);
 
-    CheckResult off_result;
-    check::checkArtifactText("run.md", log.toMetadata().render(),
-                             ArtifactKind::Unknown, off_result);
-    EXPECT_EQ(findRule(off_result, "disabled-stats-cache"), nullptr);
+        CheckResult result;
+        check::checkArtifactText("run.md", text, ArtifactKind::Unknown,
+                                 result);
+        EXPECT_TRUE(result.clean()) << rule << ": "
+                                    << result.renderText();
+    }
+}
 
-    // Engine enabled (the default): quiet for every rule.
-    launcher::ReproSpec cached = spec;
-    cached.experiment.ruleName = "ks";
-    cached.statsCache = true;
-    record::RunLog cached_log("hotspot");
-    launcher::annotate(cached_log, cached);
-    CheckResult on_result;
-    check::checkArtifactText("run.md", cached_log.toMetadata().render(),
-                             ArtifactKind::Unknown, on_result);
-    EXPECT_EQ(findRule(on_result, "disabled-stats-cache"), nullptr);
+TEST(CheckRunSpec, ObsoleteStatsCacheKeyIsANoteNotATypo)
+{
+    // A legacy run spec, and the same spec as a journal header: the
+    // retired key loads, gets one note at its own line, and is not
+    // reported as an unknown field.
+    const std::string spec_text = R"({
+  "backend": "sim", "workload": "hotspot", "machines": ["machine1"],
+  "experiment": {"rule": "ks", "max": 100},
+  "stats_cache": false
+})";
+    CheckResult spec_result;
+    check::checkArtifactText("legacy.json", spec_text,
+                             ArtifactKind::Unknown, spec_result);
+    EXPECT_EQ(spec_result.exitCode(), 0) << spec_result.renderText();
+    ASSERT_EQ(spec_result.diagnostics().size(), 1u)
+        << spec_result.renderText();
+    EXPECT_EQ(spec_result.diagnostics()[0].rule, "obsolete-stats-cache");
+    EXPECT_EQ(spec_result.diagnostics()[0].severity, Severity::Note);
+    EXPECT_EQ(spec_result.diagnostics()[0].line, 4u);
+    EXPECT_NO_THROW(launcher::ReproSpec::fromJson(json::parse(spec_text)));
+
+    json::Value spec = json::parse(spec_text);
+    json::Value header = json::Value::makeObject();
+    header.set("type", "spec");
+    header.set("spec", spec);
+    CheckResult journal_result;
+    check::checkArtifactText("legacy.jsonl", json::write(header) + "\n",
+                             ArtifactKind::Unknown, journal_result);
+    EXPECT_EQ(findRule(journal_result, "unknown-field"), nullptr)
+        << journal_result.renderText();
+    const check::Diagnostic *note =
+        findRule(journal_result, "obsolete-stats-cache");
+    ASSERT_NE(note, nullptr) << journal_result.renderText();
+    EXPECT_EQ(note->severity, Severity::Note);
+    EXPECT_EQ(note->line, 1u);
 }
 
 TEST(CheckMetadata, FlagsUnknownSimdBackendWithSuggestion)

@@ -245,6 +245,60 @@ TEST(Cli, ReproduceWritesTheSameArtifactsAsRun)
     fs::remove_all(dir);
 }
 
+TEST(Cli, LegacyStatsCacheSpecRunsChecksAndReproduces)
+{
+    // Specs and metadata from before the statistics engine lost its
+    // off switch carry "stats_cache": false and repro_stats_cache. The
+    // switch never changed a sample, so the key is ignored: the run
+    // records no engine state, `sharp check` notes the retired key
+    // without warning, and a reproduction drops it.
+    fs::path dir = fs::temp_directory_path() / "sharp_cli_legacy_cache";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    std::string spec_text = readFileText(std::string(SHARP_SOURCE_DIR) +
+                                         "/examples/run_spec.json");
+    std::string legacy_text = spec_text;
+    legacy_text.insert(legacy_text.find('{') + 1,
+                       "\n  \"stats_cache\": false,");
+    std::string spec = (dir / "spec.json").string();
+    std::string legacy = (dir / "legacy.json").string();
+    std::ofstream(spec) << spec_text;
+    std::ofstream(legacy) << legacy_text;
+
+    std::string base = (dir / "base").string();
+    std::string run_legacy = (dir / "legacy").string();
+    ASSERT_EQ(run({"run", "--config", spec, "--out", base}).status, 0);
+    CliResult ran = run({"run", "--config", legacy, "--out", run_legacy});
+    ASSERT_EQ(ran.status, 0) << ran.err;
+    EXPECT_EQ(readFileText(run_legacy + ".csv"), readFileText(base + ".csv"));
+    std::string metadata = metadataWithoutClock(base + ".md");
+    EXPECT_EQ(metadataWithoutClock(run_legacy + ".md"), metadata);
+    EXPECT_EQ(metadata.find("repro_stats_cache"), std::string::npos);
+
+    // The metadata such a spec used to record.
+    std::string recorded = readFileText(base + ".md");
+    recorded.insert(recorded.find("- **repro_simd_backend**"),
+                    "- **repro_stats_cache**: off\n");
+    std::string legacy_md = (dir / "recorded.md").string();
+    std::ofstream(legacy_md) << recorded;
+
+    CliResult check = run({"check", legacy_md});
+    EXPECT_EQ(check.status, 0) << check.out << check.err;
+    size_t note = check.out.find("[obsolete-stats-cache]");
+    ASSERT_NE(note, std::string::npos) << check.out;
+    EXPECT_EQ(check.out.find("[obsolete-stats-cache]", note + 1),
+              std::string::npos)
+        << check.out;
+    EXPECT_NE(check.out.find(": note: "), std::string::npos) << check.out;
+
+    std::string again = (dir / "again").string();
+    CliResult repro = run({"reproduce", legacy_md, "--out", again});
+    ASSERT_EQ(repro.status, 0) << repro.err;
+    EXPECT_EQ(readFileText(again + ".csv"), readFileText(base + ".csv"));
+    EXPECT_EQ(metadataWithoutClock(again + ".md"), metadata);
+    fs::remove_all(dir);
+}
+
 TEST(Cli, RunRejectsUnknownWorkload)
 {
     CliResult result = run({"run", "--workload", "linpack"});

@@ -24,6 +24,7 @@
 #include "sim/faas.hh"
 #include "sim/machine.hh"
 #include "sim/rodinia.hh"
+#include "stats/ecdf.hh"
 #include "stats/similarity.hh"
 
 namespace
@@ -135,7 +136,7 @@ TEST(Integration, DayPairComparisonShowsKsNamdGap)
     for (size_t i = 0; i < days.size() && !found_gap; ++i) {
         for (size_t j = i + 1; j < days.size(); ++j) {
             double point = stats::namd(days[i], days[j]);
-            double dist = stats::ksDistance(days[i], days[j]);
+            double dist = stats::ksStatistic(days[i], days[j]);
             if (point < 0.05 && dist > 3.0 * point && dist > 0.08) {
                 found_gap = true;
                 break;
@@ -169,7 +170,7 @@ TEST(Integration, StoppingSavesComputeVsFixed1000)
         sim::SimulatedWorkload truth(sim::rodiniaByName(name),
                                      sim::machineById("machine1"), 0,
                                      77);
-        double ks = stats::ksDistance(report.series.values(),
+        double ks = stats::ksStatistic(report.series.values(),
                                       truth.sampleMany(1000));
         EXPECT_LT(ks, 0.25) << name;
     }

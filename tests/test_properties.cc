@@ -54,12 +54,12 @@ TEST_P(SimilarityProperties, KsIsAPseudometric)
     auto a = draw(1);
     auto b = draw(2);
     auto c = draw(3);
-    double ab = stats::ksDistance(a, b);
-    double bc = stats::ksDistance(b, c);
-    double ac = stats::ksDistance(a, c);
+    double ab = stats::ksStatistic(a, b);
+    double bc = stats::ksStatistic(b, c);
+    double ac = stats::ksStatistic(a, c);
     // Identity, symmetry, bounds, triangle inequality.
-    EXPECT_DOUBLE_EQ(stats::ksDistance(a, a), 0.0);
-    EXPECT_DOUBLE_EQ(ab, stats::ksDistance(b, a));
+    EXPECT_DOUBLE_EQ(stats::ksStatistic(a, a), 0.0);
+    EXPECT_DOUBLE_EQ(ab, stats::ksStatistic(b, a));
     EXPECT_GE(ab, 0.0);
     EXPECT_LE(ab, 1.0);
     EXPECT_LE(ac, ab + bc + 1e-12);
@@ -71,12 +71,12 @@ TEST_P(SimilarityProperties, KsShrinksWithSampleSize)
     rng::Xoshiro256 gen(7);
     auto sampler_a = rng::syntheticByName(GetParam()).make();
     auto sampler_b = rng::syntheticByName(GetParam()).make();
-    double small_ks = stats::ksDistance(sampler_a->sampleMany(gen, 50),
+    double small_ks = stats::ksStatistic(sampler_a->sampleMany(gen, 50),
                                         sampler_b->sampleMany(gen, 50));
     auto sampler_c = rng::syntheticByName(GetParam()).make();
     auto sampler_d = rng::syntheticByName(GetParam()).make();
     double large_ks =
-        stats::ksDistance(sampler_c->sampleMany(gen, 5000),
+        stats::ksStatistic(sampler_c->sampleMany(gen, 5000),
                           sampler_d->sampleMany(gen, 5000));
     EXPECT_LE(large_ks, small_ks + 0.05) << GetParam();
 }
@@ -133,7 +133,7 @@ TEST_P(SimilarityProperties, KsMonotoneUnderMassSeparation)
         std::vector<double> shifted = a;
         for (double &v : shifted)
             v += frac * span;
-        double d = stats::ksDistance(a, shifted);
+        double d = stats::ksStatistic(a, shifted);
         EXPECT_GE(d, previous - 1e-12) << GetParam() << " t=" << frac;
         EXPECT_LE(d, 1.0) << GetParam();
         previous = d;

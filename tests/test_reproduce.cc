@@ -113,25 +113,35 @@ TEST(Reproduce, LargeSeedsRoundTripThroughSpecJson)
 
 TEST(Reproduce, StatsCacheStateRoundTripsThroughMetadata)
 {
-    // Default (engine on): nothing recorded, parses back as enabled.
-    record::RunLog on_log("hotspot");
-    launcher::annotate(on_log, hotspotSpec());
-    record::MetadataDocument on_doc = on_log.toMetadata();
-    EXPECT_FALSE(on_doc.get("Configuration", "repro_stats_cache"));
-    EXPECT_TRUE(launcher::reproSpecFromMetadata(on_doc).statsCache);
-
+    // Metadata and journal headers recorded while the statistics
+    // engine still had an off switch may carry repro_stats_cache or
+    // "stats_cache". They still load, with the key ignored: the engine
+    // always matched batch recomputation bit for bit, so the recorded
+    // run is the default run, and a re-annotation drops the key.
     ReproSpec spec = hotspotSpec();
-    spec.statsCache = false;
-    record::RunLog off_log("hotspot");
-    launcher::annotate(off_log, spec);
-    ReproSpec again =
-        launcher::reproSpecFromMetadata(off_log.toMetadata());
-    EXPECT_FALSE(again.statsCache);
+    spec.experiment.seed = spec.seed; // as every loader sets it
+    std::string expected = json::write(spec.toJson());
+    for (const char *legacy : {"off", "on", "no", "maybe"}) {
+        record::RunLog log("hotspot");
+        launcher::annotate(log, spec);
+        log.setConfigEntry("repro_stats_cache", legacy);
+        ReproSpec again =
+            launcher::reproSpecFromMetadata(log.toMetadata());
+        EXPECT_EQ(json::write(again.toJson()), expected) << legacy;
+
+        record::RunLog rewritten("hotspot");
+        launcher::annotate(rewritten, again);
+        EXPECT_FALSE(rewritten.toMetadata().get("Configuration",
+                                                "repro_stats_cache"))
+            << legacy;
+    }
 
     // And through the JSON spec form (journal headers).
-    ReproSpec json_again = ReproSpec::fromJson(
-        sharp::json::parse(sharp::json::write(spec.toJson())));
-    EXPECT_FALSE(json_again.statsCache);
+    json::Value legacy_doc = spec.toJson();
+    legacy_doc.set("stats_cache", false);
+    ReproSpec json_again =
+        ReproSpec::fromJson(json::parse(json::write(legacy_doc)));
+    EXPECT_EQ(json::write(json_again.toJson()), expected);
 }
 
 TEST(Reproduce, MetadataWithoutJobsDefaultsToSerial)

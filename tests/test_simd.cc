@@ -5,7 +5,8 @@
  * reference kernels bit for bit — outputs, supremum statistics, and
  * comparison counts alike — on randomized and adversarial inputs
  * (NaNs, duplicate plateaus, constants, signed zeros, lane-straddling
- * sizes). Also covers the dispatch machinery itself: backend naming,
+ * sizes). KS results are checked against the one reference walk,
+ * simd::detail::ksSortedReferenceScalar. Also covers the dispatch machinery itself: backend naming,
  * the SHARP_SIMD_BACKEND override, did-you-mean errors, and
  * setActiveBackend() rewiring observed through a real StatsCache.
  */
@@ -24,6 +25,7 @@
 #include "core/sample_series.hh"
 #include "core/stats_cache.hh"
 #include "simd/dispatch.hh"
+#include "simd/kernels.hh"
 
 namespace
 {
@@ -123,11 +125,17 @@ expectKsParity(const KernelTable &vec, const std::vector<double> &a,
 {
     if (a.empty() || b.empty())
         return; // KS is undefined on empty samples; callers pre-check.
-    double want = sharp::simd::kernelTable(Backend::Scalar)
-                      .ksSorted(a.data(), a.size(), b.data(), b.size());
+    // The reference walk is the specification: the scalar fast walk
+    // and every vector backend must reproduce it bit for bit.
+    double want = sharp::simd::detail::ksSortedReferenceScalar(
+        a.data(), a.size(), b.data(), b.size());
+    double scalar = sharp::simd::kernelTable(Backend::Scalar)
+                        .ksSorted(a.data(), a.size(), b.data(), b.size());
     double got = vec.ksSorted(a.data(), a.size(), b.data(), b.size());
+    EXPECT_TRUE(sameBits(want, scalar))
+        << what << ": reference " << want << " vs scalar " << scalar;
     EXPECT_TRUE(sameBits(want, got))
-        << what << ": scalar " << want << " vs vector " << got;
+        << what << ": reference " << want << " vs vector " << got;
 }
 
 void

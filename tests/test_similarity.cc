@@ -12,6 +12,7 @@
 
 #include "rng/sampler.hh"
 #include "stats/descriptive.hh"
+#include "stats/ecdf.hh"
 #include "stats/similarity.hh"
 
 namespace
@@ -81,7 +82,7 @@ TEST(Namd, BlindToShapeWhenMeansMatch)
 
     EXPECT_NEAR(mean(a), mean(b), 0.1);
     double point_metric = namd(a, b);
-    double dist_metric = ksDistance(a, b);
+    double dist_metric = ksStatistic(a, b);
     EXPECT_LT(point_metric, 0.2);
     EXPECT_GT(dist_metric, 0.4);
     // The distribution metric must dominate the point metric here.
@@ -176,7 +177,7 @@ TEST(SortedOverloads, AgreeWithUnsortedBitForBit)
     std::sort(sx.begin(), sx.end());
     std::sort(sy.begin(), sy.end());
     EXPECT_EQ(namdSorted(sx, sy), namd(x, y));
-    EXPECT_EQ(ksDistanceSorted(sx, sy), ksDistance(x, y));
+    EXPECT_EQ(ksStatisticSorted(sx, sy), ksStatistic(x, y));
     EXPECT_EQ(wasserstein1Sorted(sx, sy), wasserstein1(x, y));
 }
 

@@ -15,8 +15,8 @@
 #include "sim/rodinia.hh"
 #include "sim/workload.hh"
 #include "stats/descriptive.hh"
+#include "stats/ecdf.hh"
 #include "stats/kde.hh"
-#include "stats/similarity.hh"
 
 namespace
 {
@@ -101,13 +101,13 @@ TEST(Workload, ShapeShiftsAcrossDaysMoreThanWithinADay)
     double max_cross = 0.0;
     SimulatedWorkload same_a(bench, m2, 0, 100);
     SimulatedWorkload same_b(bench, m2, 0, 200);
-    double within = stats::ksDistance(same_a.sampleMany(1500),
+    double within = stats::ksStatistic(same_a.sampleMany(1500),
                                       same_b.sampleMany(1500));
     for (int day = 1; day < 5; ++day) {
         SimulatedWorkload other(bench, m2, day, 300);
         SimulatedWorkload base(bench, m2, 0, 400);
         max_cross = std::max(
-            max_cross, stats::ksDistance(base.sampleMany(1500),
+            max_cross, stats::ksStatistic(base.sampleMany(1500),
                                          other.sampleMany(1500)));
     }
     EXPECT_LT(within, 0.06);
