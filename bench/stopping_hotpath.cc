@@ -9,7 +9,7 @@
  *    append one sample, consult the rule — at series sizes 10^2..10^5
  *    on the incremental statistics engine (core::StatsCache): ns/eval
  *    plus the engine's deterministic work counters (structure
- *    comparisons and binomial PMF terms per eval).
+ *    comparisons, and binomial PMF terms or CDF evaluations, per eval).
  *  - Accessor rows: the batch reference. Each engine accessor the
  *    rules read, called with the arguments they pass, is timed against
  *    the src/stats recomputation stats_cache.hh documents as its
@@ -23,9 +23,10 @@
  *
  *  - bit-exactness: every accessor read equals its src/stats
  *    recomputation, and every SIMD backend equals scalar;
- *  - sub-linearity (ks, median-ci, meta at n >= 10^4): at most n
- *    comparisons and 10 sqrt(n) PMF terms per eval. The counters are
- *    exact replay counts, not timings, so the bound is stable;
+ *  - sub-linearity (ks, median-ci, tail-quantile, meta at n >= 10^4):
+ *    at most n comparisons and 10 sqrt(n) PMF terms or CDF evaluations
+ *    per eval. The counters are exact replay counts, not timings, so
+ *    the bound is stable;
  *  - small-n overhead: on windows that stay at or below the engine's
  *    size cutover, where the engine runs the batch code itself, each
  *    accessor's src/stats-to-engine time ratio is >= 0.7;
@@ -489,9 +490,9 @@ main(int argc, char **argv)
             point.set("pmf_evals_per_eval", r.pmfEvalsPerEval);
             points.append(std::move(point));
 
-            bool counter_gated = std::string(rc.rule) == "ks" ||
-                                 std::string(rc.rule) == "median-ci" ||
-                                 std::string(rc.rule) == "meta";
+            std::string rule = rc.rule;
+            bool counter_gated = rule == "ks" || rule == "median-ci" ||
+                                 rule == "tail-quantile" || rule == "meta";
             double nd = static_cast<double>(n);
             if (counter_gated && n >= 10000) {
                 if (r.comparisonsPerEval > nd) {

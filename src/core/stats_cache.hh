@@ -84,7 +84,10 @@ struct StatsEngineCounters
 {
     /** Comparator invocations in sorts, merges, and binary searches. */
     uint64_t comparisons = 0;
-    /** Binomial PMF terms evaluated in CI coverage scans. */
+    /**
+     * Binomial PMF terms summed in median-CI coverage scans, plus
+     * binomial CDF evaluations in the quantile-CI index searches.
+     */
     uint64_t pmfEvals = 0;
 
     StatsEngineCounters

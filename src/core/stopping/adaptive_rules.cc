@@ -174,6 +174,16 @@ ModalityRule::evaluate(const SampleSeries &series)
     if (series.size() < minRunsCfg)
         return StopDecision::keepGoing(1.0, ksThreshold, "warming up");
 
+    // A stop needs both the KS test and equal mode counts. KS(halves)
+    // is a cached read; the two KDEs are the rule's whole cost, so they
+    // only run once KS passes.
+    double ks = series.stats().ksHalves();
+    if (!(ks < ksThreshold)) {
+        return StopDecision::keepGoing(
+            ks, ksThreshold,
+            "KS(halves) " + formatDouble(ks, 4) + " (shape still changing)");
+    }
+
     // findModes must see the halves in *arrival* order: the KDE picks
     // its bandwidth from the sample before sorting internally, so
     // feeding it a pre-sorted view would change the estimate.
@@ -181,12 +191,11 @@ ModalityRule::evaluate(const SampleSeries &series)
     size_t modes_half = stats::findModes(first, prominence).size();
     size_t modes_full = stats::findModes(series.values(),
                                          prominence).size();
-    double ks = series.stats().ksHalves();
 
     std::string detail = "modes " + std::to_string(modes_half) + "->" +
                          std::to_string(modes_full) + ", KS(halves) " +
                          formatDouble(ks, 4);
-    if (modes_half == modes_full && ks < ksThreshold)
+    if (modes_half == modes_full)
         return StopDecision::stopNow(ks, ksThreshold,
                                      detail + " (shape stable)");
     return StopDecision::keepGoing(ks, ksThreshold,
@@ -225,9 +234,7 @@ TailQuantileRule::evaluate(const SampleSeries &series)
     auto ci = series.stats().quantileCi(quantileP, level);
     double center = 0.5 * (ci.lower + ci.upper);
     double rel = ci.relativeWidth(center);
-    std::string detail = "p" +
-                         std::to_string(static_cast<int>(
-                             std::lround(quantileP * 100))) +
+    std::string detail = "p" + formatDouble(quantileP * 100) +
                          " CI relative width " + formatDouble(rel, 5);
     if (rel < threshold)
         return StopDecision::stopNow(rel, threshold, detail);

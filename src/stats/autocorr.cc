@@ -12,30 +12,55 @@ namespace sharp
 namespace stats
 {
 
-double
-autocorrelation(const std::vector<double> &x, size_t lag)
+namespace
 {
-    if (x.empty())
-        throw std::invalid_argument(
-            "autocorrelation requires a non-empty series");
-    size_t n = x.size();
-    if (lag >= n)
-        return 0.0;
-    if (lag == 0)
-        return 1.0;
 
+/** The lag-independent part of an autocorrelation: mean and scale. */
+struct Centering
+{
+    double mean;
+    /** Sum of squared deviations from the mean. */
+    double denom;
+};
+
+Centering
+centering(const std::vector<double> &x)
+{
     double m = mean(x);
     double denom = 0.0;
     for (double v : x) {
         double d = v - m;
         denom += d * d;
     }
-    if (denom <= 0.0)
+    return {m, denom};
+}
+
+/** autocorrelation() at 1 <= lag < n, given x's centering. */
+double
+lagCorrelation(const std::vector<double> &x, const Centering &c,
+               size_t lag)
+{
+    if (c.denom <= 0.0)
         return 0.0;
     double num = 0.0;
-    for (size_t i = 0; i + lag < n; ++i)
-        num += (x[i] - m) * (x[i + lag] - m);
-    return num / denom;
+    for (size_t i = 0; i + lag < x.size(); ++i)
+        num += (x[i] - c.mean) * (x[i + lag] - c.mean);
+    return num / c.denom;
+}
+
+} // anonymous namespace
+
+double
+autocorrelation(const std::vector<double> &x, size_t lag)
+{
+    if (x.empty())
+        throw std::invalid_argument(
+            "autocorrelation requires a non-empty series");
+    if (lag >= x.size())
+        return 0.0;
+    if (lag == 0)
+        return 1.0;
+    return lagCorrelation(x, centering(x), lag);
 }
 
 std::vector<double>
@@ -61,9 +86,10 @@ effectiveSampleSize(const std::vector<double> &x)
     // Sum initial positive autocorrelations up to lag n/4, stopping at
     // the first non-positive value (noise floor).
     size_t max_lag = n / 4;
+    Centering c = centering(x);
     double rho_sum = 0.0;
     for (size_t lag = 1; lag <= max_lag; ++lag) {
-        double rho = autocorrelation(x, lag);
+        double rho = lagCorrelation(x, c, lag);
         if (rho <= 0.0)
             break;
         rho_sum += rho;
@@ -82,9 +108,10 @@ ljungBox(const std::vector<double> &x, size_t maxLag)
         throw std::invalid_argument("ljungBox requires n > maxLag + 1");
 
     double nd = static_cast<double>(n);
+    Centering c = centering(x);
     double q = 0.0;
     for (size_t lag = 1; lag <= maxLag; ++lag) {
-        double rho = autocorrelation(x, lag);
+        double rho = lagCorrelation(x, c, lag);
         q += rho * rho / (nd - static_cast<double>(lag));
     }
     q *= nd * (nd + 2.0);

@@ -41,19 +41,6 @@ binomialHalfPmf(size_t n, size_t k)
                     static_cast<double>(n) * std::log(2.0));
 }
 
-/** Binomial(n, p) PMF. */
-double
-binomialPmf(size_t n, size_t k, double p)
-{
-    double log_choose = logGamma(static_cast<double>(n) + 1.0) -
-                        logGamma(static_cast<double>(k) + 1.0) -
-                        logGamma(static_cast<double>(n - k) + 1.0);
-    double log_pmf = log_choose +
-                     static_cast<double>(k) * std::log(p) +
-                     static_cast<double>(n - k) * std::log1p(-p);
-    return std::exp(log_pmf);
-}
-
 } // anonymous namespace
 
 ConfidenceInterval
@@ -169,35 +156,39 @@ quantileCiIndices(size_t n, double p, double level)
     if (n == 0)
         throw std::invalid_argument("quantileCi requires a sample");
 
-    // Cumulative binomial probabilities F(k) = P(B <= k), B~Bin(n, p).
-    // Both index scans below only ever read entries strictly before the
-    // first one that reaches target_high, so the accumulation stops
-    // there — the prefix computed is bit-identical to the full array.
-    double target_high = 1.0 - (1.0 - level) / 2.0;
-    std::vector<double> cum;
-    cum.reserve(n);
-    double acc = 0.0;
-    for (size_t k = 0; k <= n; ++k) {
-        acc += binomialPmf(n, k, p);
-        cum.push_back(std::min(acc, 1.0));
-        if (cum.back() >= target_high)
-            break;
-    }
+    // F(k) = P(B <= k) for B ~ Binomial(n, p) is I_{1-p}(n - k, k + 1)
+    // for k < n. F is nondecreasing, so each index is a binary search
+    // over O(log n) evaluations of F.
+    size_t cdf_evals = 0;
+    auto cdf = [&](size_t k) {
+        ++cdf_evals;
+        return regularizedBeta(1.0 - p, static_cast<double>(n - k),
+                               static_cast<double>(k) + 1.0);
+    };
+    // The first k in [from, to) with F(k) >= target, or `to` if none.
+    auto firstReaching = [&](size_t from, size_t to, double target) {
+        while (from < to) {
+            size_t mid = from + (to - from) / 2;
+            if (cdf(mid) < target)
+                from = mid + 1;
+            else
+                to = mid;
+        }
+        return from;
+    };
 
-    // Choose the smallest interval of order statistics [l+1, u] (1-based)
-    // with P(l <= B < u) >= level, scanning symmetric-ish around n*p.
+    // Order statistics [l+1, u] (1-based) with P(l <= B < u) >= level:
+    // l is one below the first k whose F reaches the lower tail, u the
+    // first k from l on whose F reaches the upper one, both clamped to
+    // the sample.
     double target_low = (1.0 - level) / 2.0;
-    size_t lower_idx = 0;
-    while (lower_idx < n && cum[lower_idx] < target_low)
-        ++lower_idx;
+    double target_high = 1.0 - (1.0 - level) / 2.0;
+    size_t lower_idx = firstReaching(0, n, target_low);
     if (lower_idx > 0)
         --lower_idx;
+    size_t upper_idx = firstReaching(lower_idx, n - 1, target_high);
 
-    size_t upper_idx = lower_idx;
-    while (upper_idx < n - 1 && cum[upper_idx] < target_high)
-        ++upper_idx;
-
-    return {lower_idx, upper_idx, cum.size()};
+    return {lower_idx, upper_idx, cdf_evals};
 }
 
 ConfidenceInterval

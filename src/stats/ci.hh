@@ -102,9 +102,10 @@ ConfidenceInterval quantileCiSorted(const std::vector<double> &sorted,
 
 /**
  * The 0-based order-statistic indices quantileCi selects, plus the
- * number of binomial PMF terms evaluated to find them. Pure function
- * of (n, p, level) — no sample needed — so incremental callers can
- * pick order statistics out of a sorted view without re-sorting.
+ * number of binomial CDF evaluations (incomplete-beta calls, O(log n))
+ * made to find them. Pure function of (n, p, level) — no sample
+ * needed — so incremental callers can pick order statistics out of a
+ * sorted view without re-sorting.
  */
 struct QuantileCiIndices
 {

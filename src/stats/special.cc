@@ -1,7 +1,11 @@
 #include "stats/special.hh"
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <iterator>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 
 namespace sharp
@@ -228,20 +232,58 @@ studentTCdf(double t, double dof)
     return t > 0.0 ? 1.0 - prob : prob;
 }
 
-double
-studentTQuantile(double p, double dof)
+namespace
 {
-    if (!(p > 0.0 && p < 1.0))
-        throw std::invalid_argument("studentTQuantile requires p in (0,1)");
-    if (dof <= 0.0)
-        throw std::invalid_argument("studentTQuantile requires dof > 0");
 
-    // For large dof the t distribution is the normal distribution to
-    // within ~1/dof; the rules that evaluate this per-sample benefit
-    // from skipping the bisection.
-    if (dof > 2000.0)
-        return normalQuantile(p);
+/** Above this dof studentTQuantile answers with the normal quantile. */
+constexpr double kNormalDof = 2000.0;
 
+/**
+ * Bisection results for integer dof in [1, kNormalDof], one row per
+ * probability. The t-interval rules ask for the (p, n - 1) quantile
+ * at every evaluation, and a sweep or suite runs many series through
+ * the same n; each bisection costs ~45 incomplete-beta calls, a hit
+ * none. A row is keyed by p's exact value, so a hit returns the bits
+ * the bisection returned for the same arguments. A row is zeroed when
+ * a p claims it, and 0 marks an empty cell: a quantile that is exactly
+ * 0 is recomputed every time, which is still exact. When more
+ * probabilities than rows show up, the oldest row is reused.
+ */
+struct StudentTTable
+{
+    static constexpr size_t kRows = 4;
+    /** Row keys; 0, which no valid p equals, marks an unclaimed row. */
+    double p[kRows] = {};
+    size_t nextRow = 0;
+    /** Indeterminate until claimed, so unclaimed rows touch no pages. */
+    double q[kRows][static_cast<size_t>(kNormalDof) + 1];
+
+    double *
+    row(double prob)
+    {
+        for (size_t r = 0; r < kRows; ++r) {
+            if (p[r] == prob)
+                return q[r];
+        }
+        size_t r = nextRow;
+        nextRow = (nextRow + 1) % kRows;
+        p[r] = prob;
+        std::fill(std::begin(q[r]), std::end(q[r]), 0.0);
+        return q[r];
+    }
+};
+
+/**
+ * One table per thread, so a lookup takes no lock. It is allocated at
+ * the thread's first integer-dof call: threads that never ask pay
+ * nothing. It lives as long as its thread, which for a
+ * util::parallelFor worker is as long as the pool.
+ */
+thread_local std::unique_ptr<StudentTTable> studentTTable;
+
+double
+studentTQuantileBisect(double p, double dof)
+{
     // Bisection bracketed by a generous normal-based guess; the CDF is
     // strictly monotonic so this always converges.
     double lo = -1.0, hi = 1.0;
@@ -259,6 +301,33 @@ studentTQuantile(double p, double dof)
             break;
     }
     return 0.5 * (lo + hi);
+}
+
+} // anonymous namespace
+
+double
+studentTQuantile(double p, double dof)
+{
+    if (!(p > 0.0 && p < 1.0))
+        throw std::invalid_argument("studentTQuantile requires p in (0,1)");
+    if (dof <= 0.0)
+        throw std::invalid_argument("studentTQuantile requires dof > 0");
+
+    // For large dof the t distribution is the normal distribution to
+    // within ~1/dof; the rules that evaluate this per-sample benefit
+    // from skipping the bisection.
+    if (dof > kNormalDof)
+        return normalQuantile(p);
+
+    // Non-integer dof (effective sample sizes, Welch) is not tabled.
+    if (dof != std::floor(dof))
+        return studentTQuantileBisect(p, dof);
+    if (!studentTTable)
+        studentTTable = std::make_unique_for_overwrite<StudentTTable>();
+    double &cell = studentTTable->row(p)[static_cast<size_t>(dof)];
+    if (cell == 0.0)
+        cell = studentTQuantileBisect(p, dof);
+    return cell;
 }
 
 double

@@ -36,7 +36,12 @@ double regularizedBeta(double x, double a, double b);
 /** CDF of Student's t distribution with @p dof degrees of freedom. */
 double studentTCdf(double t, double dof);
 
-/** Quantile of Student's t distribution, p in (0, 1). */
+/**
+ * Quantile of Student's t distribution, p in (0, 1), by bisection on
+ * the CDF. dof > 2000 returns the normal quantile. For integer dof the
+ * bisection runs once per (p, dof) and thread; repeats read a
+ * per-thread table and return the same bits.
+ */
 double studentTQuantile(double p, double dof);
 
 /** CDF of the chi-square distribution with @p dof degrees of freedom. */

@@ -8,7 +8,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
+#include "quantile_ci_spec.hh"
 #include "rng/sampler.hh"
 #include "stats/ci.hh"
 #include "stats/descriptive.hh"
@@ -172,6 +174,20 @@ TEST(QuantileCi, NarrowsWithSampleSize)
     auto large = sampler.sampleMany(gen, 10000);
     EXPECT_GT(quantileCi(small, 0.9, 0.95).width(),
               quantileCi(large, 0.9, 0.95).width());
+}
+
+TEST(QuantileCi, IndicesMatchPmfPrefixSumSpecUpTo2000)
+{
+    // Every n up to 2000; test_properties.cc sweeps on to 1e5.
+    std::vector<size_t> sizes;
+    for (size_t n = 1; n <= 2000; ++n)
+        sizes.push_back(n);
+    sharp::test::QuantileCiSweep sweep =
+        sharp::test::sweepQuantileCiIndices(sizes);
+    EXPECT_EQ(sweep.cases, 24000u);
+    EXPECT_EQ(sweep.mismatches, 0u) << sweep.firstMismatch;
+    // Two binary searches over at most n indices each.
+    EXPECT_EQ(sweep.overEvalBound, 0u);
 }
 
 TEST(CiValidation, RejectsBadLevels)

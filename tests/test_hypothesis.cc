@@ -6,7 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "rng/sampler.hh"
 #include "stats/ci.hh"
@@ -68,6 +73,88 @@ TEST(Special, StudentTKnownQuantiles)
     EXPECT_NEAR(studentTQuantile(0.975, 30.0), 2.042, 2e-3);
     // Large dof converges to the normal quantile.
     EXPECT_NEAR(studentTQuantile(0.975, 1e6), 1.95996, 1e-3);
+}
+
+/** studentTQuantile over @p queries ({p, dof} pairs), as raw bits. */
+std::vector<uint64_t>
+studentTBits(const std::vector<std::pair<double, double>> &queries)
+{
+    std::vector<uint64_t> out;
+    out.reserve(queries.size());
+    for (auto [p, dof] : queries)
+        out.push_back(std::bit_cast<uint64_t>(studentTQuantile(p, dof)));
+    return out;
+}
+
+/** The same values computed on a new thread, whose table is empty. */
+std::vector<uint64_t>
+studentTBitsOnFreshThread(const std::vector<std::pair<double, double>> &queries)
+{
+    std::vector<uint64_t> out;
+    std::thread([&] { out = studentTBits(queries); }).join();
+    return out;
+}
+
+TEST(Special, StudentTTableHitsEqualFreshBisections)
+{
+    // Three probabilities interleaved over every tabled dof, then
+    // non-integer dof (bisected, never tabled) and dof above 2000
+    // (the normal quantile).
+    std::vector<std::pair<double, double>> queries;
+    for (int dof = 1; dof <= 2000; ++dof) {
+        for (double p : {0.95, 0.975, 0.995})
+            queries.push_back({p, static_cast<double>(dof)});
+    }
+    for (double dof : {0.5, 1.5, 7.25, 399.9, 1999.5, 2000.5, 2001.0, 1e5}) {
+        for (double p : {0.95, 0.975, 0.995})
+            queries.push_back({p, dof});
+    }
+
+    // Each query is new to a fresh thread, so every value it returns
+    // is a bisection; this thread's second pass reads its warm table.
+    std::vector<uint64_t> fresh = studentTBitsOnFreshThread(queries);
+    std::vector<uint64_t> first = studentTBits(queries);
+    std::vector<uint64_t> warm = studentTBits(queries);
+    ASSERT_EQ(fresh.size(), queries.size());
+    for (size_t i = 0; i < queries.size(); ++i) {
+        ASSERT_EQ(first[i], fresh[i])
+            << "p=" << queries[i].first << " dof=" << queries[i].second;
+        ASSERT_EQ(warm[i], fresh[i])
+            << "p=" << queries[i].first << " dof=" << queries[i].second;
+    }
+
+    // Two threads filling their own tables at once, one in reverse.
+    std::vector<std::pair<double, double>> reversed(queries.rbegin(),
+                                                    queries.rend());
+    std::vector<uint64_t> forward_bits, reverse_bits;
+    std::thread forward([&] {
+        studentTBits(queries);
+        forward_bits = studentTBits(queries);
+    });
+    std::thread reverse([&] {
+        studentTBits(reversed);
+        reverse_bits = studentTBits(reversed);
+    });
+    forward.join();
+    reverse.join();
+    EXPECT_EQ(forward_bits, fresh);
+    EXPECT_EQ(std::vector<uint64_t>(reverse_bits.rbegin(),
+                                    reverse_bits.rend()),
+              fresh);
+}
+
+TEST(Special, StudentTTableReusesRowsPastItsCapacity)
+{
+    // Six probabilities share the table's rows, so rows are evicted
+    // and refilled; every value still equals a fresh bisection.
+    std::vector<std::pair<double, double>> queries;
+    for (int dof = 1; dof <= 60; ++dof) {
+        for (double p : {0.9, 0.95, 0.975, 0.99, 0.995, 0.999})
+            queries.push_back({p, static_cast<double>(dof)});
+    }
+    std::vector<uint64_t> fresh = studentTBitsOnFreshThread(queries);
+    for (int pass = 0; pass < 2; ++pass)
+        EXPECT_EQ(studentTBits(queries), fresh) << "pass " << pass;
 }
 
 TEST(Special, StudentTCdfSymmetry)

@@ -16,6 +16,7 @@
 #include "core/sample_series.hh"
 #include "core/stats_cache.hh"
 #include "core/stopping/stopping_rule.hh"
+#include "quantile_ci_spec.hh"
 #include "rng/synthetic.hh"
 #include "sim/machine.hh"
 #include "sim/rodinia.hh"
@@ -299,6 +300,20 @@ TEST_P(CiLevelProperties, HigherLevelsGiveWiderIntervals)
 
 INSTANTIATE_TEST_SUITE_P(Levels, CiLevelProperties,
                          ::testing::Values(0.5, 0.8, 0.9, 0.95, 0.99));
+
+TEST(QuantileCiIndices, BinarySearchMatchesPmfPrefixSumUpTo1e5)
+{
+    // test_ci.cc checks every n up to 2000; past it, a stride up to
+    // 1e5, where one prefix sum is up to 10^5 PMF terms.
+    std::vector<size_t> sizes;
+    for (size_t n = 2001; n < 100000; n += 97)
+        sizes.push_back(n);
+    sizes.push_back(100000);
+    test::QuantileCiSweep sweep = test::sweepQuantileCiIndices(sizes);
+    EXPECT_EQ(sweep.cases, 12 * sizes.size());
+    EXPECT_EQ(sweep.mismatches, 0u) << sweep.firstMismatch;
+    EXPECT_EQ(sweep.overEvalBound, 0u);
+}
 
 // ---------------------------------------------------------------
 // Simulated-testbed properties over the benchmark x machine grid.

@@ -6,14 +6,23 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <utility>
+
 #include "core/sample_series.hh"
+#include "core/stats_cache.hh"
 #include "core/stopping/adaptive_rules.hh"
 #include "core/stopping/ci_rules.hh"
 #include "core/stopping/fixed_rule.hh"
 #include "core/stopping/ks_rule.hh"
 #include "core/stopping/stopping_rule.hh"
+#include "rng/nonstationary.hh"
 #include "rng/sampler.hh"
 #include "rng/synthetic.hh"
+#include "stats/kde.hh"
 
 namespace
 {
@@ -261,6 +270,62 @@ TEST(ModalityRule, WaitsForAllModesToAppear)
     EXPECT_LT(runs, 3000u);
 }
 
+/**
+ * ModalityRule as it evaluated before KS gated its KDEs: both mode
+ * counts and KS(halves) at every evaluation, stopping when the counts
+ * agree and KS is below the threshold.
+ */
+StopDecision
+twoKdeModalitySpec(const SampleSeries &series, double ksThreshold,
+                   double prominence, size_t minRuns)
+{
+    if (series.size() < minRuns)
+        return StopDecision::keepGoing(1.0, ksThreshold, "warming up");
+    size_t modes_half =
+        sharp::stats::findModes(series.firstHalf(), prominence).size();
+    size_t modes_full =
+        sharp::stats::findModes(series.values(), prominence).size();
+    double ks = series.stats().ksHalves();
+    bool stop = modes_half == modes_full && ks < ksThreshold;
+    return {stop, ks, ksThreshold, ""};
+}
+
+TEST(ModalityRule, KsGateDecidesLikeTheTwoKdeSpec)
+{
+    // The registry's defaults: KS threshold 0.1, prominence 0.15,
+    // at least 40 samples.
+    const double ks_threshold = 0.1, prominence = 0.15;
+    const size_t min_runs = 40;
+    size_t stops = 0, mode_vetoes = 0;
+    for (const char *stream :
+         {"bimodal", "multimodal", "normal", "regime-switch"}) {
+        std::string name = stream;
+        std::shared_ptr<Sampler> sampler =
+            name == "regime-switch" ? nonstationaryByName(name).make()
+                                    : syntheticByName(name).make();
+        Xoshiro256 gen(29);
+        ModalityRule rule(ks_threshold, prominence, min_runs);
+        SampleSeries series;
+        for (size_t n = 1; n <= 800; ++n) {
+            series.append(sampler->sample(gen));
+            StopDecision got = rule.evaluate(series);
+            StopDecision want = twoKdeModalitySpec(series, ks_threshold,
+                                                   prominence, min_runs);
+            ASSERT_EQ(got.stop, want.stop) << name << " n=" << n;
+            ASSERT_EQ(std::bit_cast<uint64_t>(got.criterion),
+                      std::bit_cast<uint64_t>(want.criterion))
+                << name << " n=" << n;
+            stops += got.stop ? 1 : 0;
+            if (!want.stop && want.criterion < ks_threshold)
+                ++mode_vetoes;
+        }
+    }
+    // Both ways a KS pass can end are exercised: a stop, and a veto
+    // by unequal mode counts.
+    EXPECT_GT(stops, 0u);
+    EXPECT_GT(mode_vetoes, 0u);
+}
+
 TEST(TailQuantileRule, StopsWhenTailIsPinnedDown)
 {
     TailQuantileRule rule(0.95, 0.1, 0.95, 50);
@@ -280,6 +345,26 @@ TEST(TailQuantileRule, NeedsMoreRunsThanMedianPrecision)
     size_t runs_med = runsUntilStop(med, sampler, gen, 20000);
     size_t runs_tail = runsUntilStop(tail, sampler, gen, 20000);
     EXPECT_GT(runs_tail, runs_med);
+}
+
+TEST(TailQuantileRule, ReasonNamesTheQuantileItTracks)
+{
+    Xoshiro256 gen(16);
+    LogNormalSampler sampler(1.0, 0.5);
+    SampleSeries series;
+    for (int i = 0; i < 200; ++i)
+        series.append(sampler.sample(gen));
+    // Tail quantiles past p99 must not all read "p100".
+    const std::pair<double, const char *> cases[] = {
+        {0.95, "p95 "}, {0.5, "p50 "},    {0.99, "p99 "},
+        {0.995, "p99.5 "}, {0.999, "p99.9 "}};
+    for (auto [quantile, label] : cases) {
+        TailQuantileRule rule(quantile, 0.1, 0.95, 50);
+        std::string reason = rule.evaluate(series).reason;
+        EXPECT_EQ(reason.rfind(std::string(label) + "CI relative width", 0),
+                  0u)
+            << reason;
+    }
 }
 
 TEST(Factory, BuildsEveryRegisteredRule)
