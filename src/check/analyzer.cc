@@ -166,6 +166,20 @@ checkMetadata(const std::string &text, CheckResult &out)
     mergeWithFallbackLine(findings, findLine(text, "## Configuration"),
                           out);
 
+    // The rebuilt spec drops the keys loading ignores, so lint the
+    // recorded experiment too: obsolete keys get their notes at the
+    // entry's line. It loaded above, so it parses and has no errors.
+    CheckResult recorded;
+    core::checkExperimentConfig(
+        json::parse(*doc.get("Configuration", "repro_experiment")),
+        recorded);
+    size_t experiment_line = findLine(text, "repro_experiment");
+    for (Diagnostic diagnostic : recorded.diagnostics()) {
+        diagnostic.line = experiment_line;
+        diagnostic.column = 0;
+        out.add(std::move(diagnostic));
+    }
+
     if (spec.backendKind == "local") {
         std::string message =
             "metadata records the 'local' backend; wall-clock timings "

@@ -1,6 +1,7 @@
 #include "check/diagnostic.hh"
 
 #include <algorithm>
+#include <cmath>
 
 namespace sharp
 {
@@ -284,6 +285,26 @@ checkKnownFields(const json::Value &object,
                     "unknown field '" + key + "' in " + what,
                     suggestName(key, known));
     }
+}
+
+const json::Value *
+checkIntegerField(const json::Value &object, const char *key,
+                  long minimum, CheckResult &out)
+{
+    const json::Value *value = object.find(key);
+    if (!value)
+        return nullptr;
+    constexpr double maximum = 9007199254740992.0; // 2^53
+    if (value->isNumber()) {
+        double number = value->asNumber();
+        if (number >= static_cast<double>(minimum) && number <= maximum &&
+            number == std::floor(number))
+            return value;
+    }
+    out.error(*value, "out-of-range",
+              "'" + std::string(key) + "' must be an integer in [" +
+                  std::to_string(minimum) + ", 2^53]");
+    return nullptr;
 }
 
 } // namespace check

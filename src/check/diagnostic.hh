@@ -183,6 +183,18 @@ void checkKnownFields(const json::Value &object,
                       const std::vector<std::string> &known,
                       const std::string &what, CheckResult &out);
 
+/**
+ * Check the integer member @p key of @p object, when present: it must
+ * be a number with no fractional part in [@p minimum, 2^53]. Anything
+ * else gets one located `out-of-range` error. 2^53 is the largest
+ * bound at which every JSON double is still an exact integer, and it
+ * keeps loaders' `long`/`size_t` conversions defined.
+ * @return the member when it is present and valid, nullptr otherwise.
+ */
+const json::Value *checkIntegerField(const json::Value &object,
+                                     const char *key, long minimum,
+                                     CheckResult &out);
+
 } // namespace check
 } // namespace sharp
 

@@ -1189,7 +1189,9 @@ cmdCheck(const ParsedArgs &args, std::ostream &out, std::ostream &err)
             check::checkArtifactFile(path, result);
         if (format == "text") {
             out << result.renderText();
-            if (result.clean()) {
+            // Notes are informational: an artifact with only notes
+            // is still ok, as its exit code says.
+            if (result.exitCode() == 0) {
                 out << path << ": "
                     << check::artifactKindName(kind) << ": ok\n";
             }

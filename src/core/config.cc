@@ -21,6 +21,12 @@ checkExperimentConfig(const json::Value &doc, check::CheckResult &out)
         "rule", "params", "warmup", "min", "max", "checkInterval",
         "seed"};
     check::checkKnownFields(doc, known, "experiment config", out);
+    if (const json::Value *legacy = doc.find("checkInterval"))
+        out.report(check::Severity::Note, *legacy,
+                   "obsolete-check-interval",
+                   "'checkInterval' no longer exists and is ignored; the "
+                   "stopping rule is evaluated after every round, as it "
+                   "was in every recorded run");
 
     const json::Value *rule = doc.find("rule");
     if (rule && !rule->isString()) {
@@ -49,22 +55,11 @@ checkExperimentConfig(const json::Value &doc, check::CheckResult &out)
         }
     }
 
-    auto boundAtLeast = [&](const char *key, long minimum) {
-        const json::Value *value = doc.find(key);
-        if (!value)
-            return;
-        if (!value->isNumber() ||
-            value->asNumber() < static_cast<double>(minimum)) {
-            out.error(*value, "out-of-range",
-                      "'" + std::string(key) +
-                          "' must be an integer >= " +
-                          std::to_string(minimum));
-        }
-    };
-    boundAtLeast("warmup", 0);
-    boundAtLeast("min", 1);
-    boundAtLeast("max", 1);
-    boundAtLeast("checkInterval", 1);
+    check::checkIntegerField(doc, "warmup", 0, out);
+    const json::Value *min_value =
+        check::checkIntegerField(doc, "min", 1, out);
+    const json::Value *max_value =
+        check::checkIntegerField(doc, "max", 1, out);
     if (const json::Value *seed = doc.find("seed")) {
         try {
             doc.getUint64("seed", 1);
@@ -76,10 +71,7 @@ checkExperimentConfig(const json::Value &doc, check::CheckResult &out)
                       "round-trip exactly");
         }
     }
-    const json::Value *min_value = doc.find("min");
-    const json::Value *max_value = doc.find("max");
-    if (min_value && max_value && min_value->isNumber() &&
-        max_value->isNumber() &&
+    if (min_value && max_value &&
         max_value->asNumber() < min_value->asNumber()) {
         out.error(*max_value, "out-of-range",
                   "'max' (" + std::to_string(max_value->asLong()) +
@@ -135,17 +127,13 @@ ExperimentConfig::fromJson(const json::Value &doc)
         doc.getLong("min", static_cast<long>(config.options.minSamples));
     long max_samples =
         doc.getLong("max", static_cast<long>(config.options.maxSamples));
-    long interval = doc.getLong(
-        "checkInterval", static_cast<long>(config.options.checkInterval));
-    if (warmup < 0 || min_samples < 1 || max_samples < min_samples ||
-        interval < 1) {
+    if (warmup < 0 || min_samples < 1 || max_samples < min_samples) {
         throw std::invalid_argument(
             "invalid sampling bounds in experiment config");
     }
     config.options.warmupRuns = static_cast<size_t>(warmup);
     config.options.minSamples = static_cast<size_t>(min_samples);
     config.options.maxSamples = static_cast<size_t>(max_samples);
-    config.options.checkInterval = static_cast<size_t>(interval);
 
     config.seed = doc.getUint64("seed", 1);
 
@@ -167,7 +155,6 @@ ExperimentConfig::toJson() const
     doc.set("warmup", options.warmupRuns);
     doc.set("min", options.minSamples);
     doc.set("max", options.maxSamples);
-    doc.set("checkInterval", options.checkInterval);
     // As a decimal string: JSON numbers are doubles, which would
     // round seeds >= 2^53 (see Value::getUint64).
     doc.set("seed", std::to_string(seed));

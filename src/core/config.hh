@@ -13,11 +13,11 @@
 #ifndef SHARP_CORE_CONFIG_HH
 #define SHARP_CORE_CONFIG_HH
 
+#include <cstddef>
 #include <map>
 #include <memory>
 #include <string>
 
-#include "core/experiment.hh"
 #include "core/stopping/stopping_rule.hh"
 #include "json/value.hh"
 
@@ -31,6 +31,17 @@ class CheckResult;
 namespace core
 {
 
+/** Sampling bounds of one experiment (see launcher::LaunchOptions). */
+struct ExperimentOptions
+{
+    /** Discard this many initial runs (cold starts, cache warmup). */
+    size_t warmupRuns = 0;
+    /** Never stop before this many retained samples. */
+    size_t minSamples = 2;
+    /** Hard cap on retained samples (safety net; must be >= min). */
+    size_t maxSamples = 10000;
+};
+
 /**
  * Declarative experiment configuration.
  *
@@ -38,9 +49,12 @@ namespace core
  * {
  *   "rule": "ks",
  *   "params": {"threshold": 0.1, "min": 20},
- *   "warmup": 3, "min": 20, "max": 1000, "checkInterval": 1,
+ *   "warmup": 3, "min": 20, "max": 1000,
  *   "seed": 42
  * }
+ *
+ * The stopping rule is evaluated after every round. A legacy
+ * "checkInterval" key still loads and is ignored.
  */
 struct ExperimentConfig
 {

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "core/stats_cache.hh"
+#include "stats/descriptive.hh"
 
 namespace sharp
 {
@@ -22,8 +23,7 @@ SampleSeries::SampleSeries(const std::vector<double> &values)
 SampleSeries::SampleSeries(const SampleSeries &other)
     : data(other.data), count(other.count),
       dataVersion(other.dataVersion), runningMean(other.runningMean),
-      m2(other.m2), m3(other.m3), m4(other.m4),
-      minValue(other.minValue), maxValue(other.maxValue)
+      m2(other.m2), minValue(other.minValue), maxValue(other.maxValue)
 {
 }
 
@@ -37,8 +37,6 @@ SampleSeries::operator=(const SampleSeries &other)
     dataVersion = other.dataVersion;
     runningMean = other.runningMean;
     m2 = other.m2;
-    m3 = other.m3;
-    m4 = other.m4;
     minValue = other.minValue;
     maxValue = other.maxValue;
     cache.reset();
@@ -48,8 +46,7 @@ SampleSeries::operator=(const SampleSeries &other)
 SampleSeries::SampleSeries(SampleSeries &&other) noexcept
     : data(std::move(other.data)), count(other.count),
       dataVersion(other.dataVersion), runningMean(other.runningMean),
-      m2(other.m2), m3(other.m3), m4(other.m4),
-      minValue(other.minValue), maxValue(other.maxValue)
+      m2(other.m2), minValue(other.minValue), maxValue(other.maxValue)
 {
     // The moved-from cache back-references `other`; neither side may
     // keep it.
@@ -66,8 +63,6 @@ SampleSeries::operator=(SampleSeries &&other) noexcept
     dataVersion = other.dataVersion;
     runningMean = other.runningMean;
     m2 = other.m2;
-    m3 = other.m3;
-    m4 = other.m4;
     minValue = other.minValue;
     maxValue = other.maxValue;
     cache.reset();
@@ -84,22 +79,10 @@ SampleSeries::append(double value)
     if (count == 1) {
         runningMean = value;
         m2 = 0.0;
-        m3 = 0.0;
-        m4 = 0.0;
         minValue = maxValue = value;
         return;
     }
     double delta = value - runningMean;
-    // Higher moments first (Pébay's update), against the *old* m2/m3.
-    double n = static_cast<double>(count);
-    double delta_n = delta / n;
-    double delta_n2 = delta_n * delta_n;
-    double term1 = delta * delta_n * (n - 1.0);
-    m4 += term1 * delta_n2 * (n * n - 3.0 * n + 3.0) +
-          6.0 * delta_n2 * m2 - 4.0 * delta_n * m3;
-    m3 += term1 * delta_n * (n - 2.0) - 3.0 * delta_n * m2;
-    // Mean and m2 keep the historical update order so existing
-    // consumers (variance, the constant rule) see identical bits.
     runningMean += delta / static_cast<double>(count);
     m2 += delta * (value - runningMean);
     minValue = std::min(minValue, value);
@@ -122,8 +105,6 @@ SampleSeries::clear()
     ++dataVersion;
     runningMean = 0.0;
     m2 = 0.0;
-    m3 = 0.0;
-    m4 = 0.0;
     minValue = 0.0;
     maxValue = 0.0;
     if (cache)
@@ -147,22 +128,13 @@ SampleSeries::stddev() const
 double
 SampleSeries::skewness() const
 {
-    if (count < 3 || m2 <= 0.0)
-        return 0.0;
-    double n = static_cast<double>(count);
-    double g1 = (m3 / n) / std::pow(m2 / n, 1.5);
-    return g1 * std::sqrt(n * (n - 1.0)) / (n - 2.0);
+    return empty() ? 0.0 : stats::skewness(data);
 }
 
 double
 SampleSeries::excessKurtosis() const
 {
-    if (count < 4 || m2 <= 0.0)
-        return 0.0;
-    double n = static_cast<double>(count);
-    double c2 = m2 / n;
-    double g2 = (m4 / n) / (c2 * c2) - 3.0;
-    return ((n + 1.0) * g2 + 6.0) * (n - 1.0) / ((n - 2.0) * (n - 3.0));
+    return empty() ? 0.0 : stats::excessKurtosis(data);
 }
 
 std::vector<double>

@@ -3,10 +3,10 @@
  * SampleSeries: the running record of measurements for one experiment.
  *
  * Stopping rules are evaluated repeatedly as samples arrive, so the
- * series maintains streaming aggregates (Welford mean/variance with
- * third/fourth central moments, min/max) in O(1) per append, while
- * also retaining the full sample — SHARP's whole point is that the
- * complete distribution is the artifact of record.
+ * series maintains streaming aggregates (Welford mean/variance,
+ * min/max) in O(1) per append, while also retaining the full sample —
+ * SHARP's whole point is that the complete distribution is the
+ * artifact of record.
  *
  * Each series also owns a lazily populated StatsCache (see
  * stats_cache.hh): a monotonically versioned incremental view of the
@@ -91,18 +91,10 @@ class SampleSeries
     /** Streaming standard deviation. */
     double stddev() const;
 
-    /**
-     * Streaming sample skewness (adjusted Fisher–Pearson, matching
-     * stats::skewness up to floating-point accumulation order; 0 for
-     * n < 3 or zero spread).
-     */
+    /** stats::skewness of values(), O(n) per call (0 when empty). */
     double skewness() const;
 
-    /**
-     * Streaming excess kurtosis (bias-adjusted, matching
-     * stats::excessKurtosis up to accumulation order; 0 for n < 4 or
-     * zero spread).
-     */
+    /** stats::excessKurtosis of values(), O(n) per call (0 when empty). */
     double excessKurtosis() const;
 
     /** Minimum so far. */
@@ -135,8 +127,6 @@ class SampleSeries
     uint64_t dataVersion = 0;
     double runningMean = 0.0;
     double m2 = 0.0; // sum of squared deviations (Welford)
-    double m3 = 0.0; // sum of cubed deviations
-    double m4 = 0.0; // sum of fourth-power deviations
     double minValue = 0.0;
     double maxValue = 0.0;
     mutable std::unique_ptr<StatsCache> cache;

@@ -31,9 +31,10 @@ paramCount(const Params &params, const std::string &key, size_t fallback)
     auto it = params.find(key);
     if (it == params.end())
         return fallback;
-    if (it->second < 0.0)
+    // The bound keeps the rounding cast defined (NaN fails it too).
+    if (!(it->second >= 0.0 && it->second <= 9007199254740992.0))
         throw std::invalid_argument("parameter '" + key +
-                                    "' must be non-negative");
+                                    "' must be in [0, 2^53]");
     return static_cast<size_t>(it->second + 0.5);
 }
 
@@ -138,21 +139,6 @@ StoppingRuleFactory::names() const
     for (const auto &entry : makers)
         out.push_back(entry.first);
     return out;
-}
-
-std::vector<std::unique_ptr<StoppingRule>>
-makeTailoredSuite()
-{
-    std::vector<std::unique_ptr<StoppingRule>> suite;
-    suite.push_back(std::make_unique<ConstantRule>());
-    suite.push_back(std::make_unique<NormalMeanCiRule>());
-    suite.push_back(std::make_unique<GeoMeanCiRule>());
-    suite.push_back(std::make_unique<MedianCiRule>());
-    suite.push_back(std::make_unique<UniformRangeRule>());
-    suite.push_back(std::make_unique<AutocorrEssRule>());
-    suite.push_back(std::make_unique<ModalityRule>());
-    suite.push_back(std::make_unique<TailQuantileRule>());
-    return suite;
 }
 
 } // namespace core

@@ -116,13 +116,6 @@ class StoppingRuleFactory
     std::map<std::string, Maker> makers;
 };
 
-/**
- * Construct the default-configured suite of the eight
- * distribution-tailored dynamic rules (§IV-c), used by benches and the
- * meta-heuristic ablation.
- */
-std::vector<std::unique_ptr<StoppingRule>> makeTailoredSuite();
-
 } // namespace core
 } // namespace sharp
 

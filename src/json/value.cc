@@ -1,6 +1,7 @@
 #include "json/value.hh"
 
 #include <cmath>
+#include <limits>
 
 #include "util/string_utils.hh"
 
@@ -65,7 +66,14 @@ Value::asNumber() const
 long
 Value::asLong() const
 {
-    return static_cast<long>(asNumber());
+    double number = asNumber();
+    // Casting a double outside long's range is undefined; -LONG_MIN
+    // is the first power of two past LONG_MAX.
+    constexpr double bound =
+        -static_cast<double>(std::numeric_limits<long>::min());
+    if (!(number >= -bound && number < bound))
+        throw TypeError("JSON number is outside the range of a long");
+    return static_cast<long>(number);
 }
 
 const std::string &
@@ -181,7 +189,9 @@ Value::getUint64(const std::string &key, uint64_t fallback) const
         return fallback;
     if (value->isNumber()) {
         double num = value->asNumber();
-        if (num < 0.0 || num != std::floor(num))
+        // 2^64 is the first double past UINT64_MAX.
+        if (num < 0.0 || num >= 18446744073709551616.0 ||
+            num != std::floor(num))
             throw TypeError("member '" + key +
                             "' must be a non-negative integer");
         return static_cast<uint64_t>(num);

@@ -109,7 +109,10 @@ class Value
     bool asBool() const;
     /** @return the numeric payload. @throws TypeError otherwise. */
     double asNumber() const;
-    /** @return the numeric payload truncated to long. */
+    /**
+     * @return the numeric payload truncated to long. @throws TypeError
+     * when it is not a number or lies outside long's range.
+     */
     long asLong() const;
     /** @return the string payload. @throws TypeError otherwise. */
     const std::string &asString() const;

@@ -84,17 +84,7 @@ checkFaultSpec(const json::Value &doc, check::CheckResult &out)
             out.error(*stall, "out-of-range",
                       "'hang_recover_seconds' must be > 0");
     }
-    if (const json::Value *epoch = doc.find("incarnation")) {
-        if (!epoch->isNumber() || epoch->asNumber() < 0.0 ||
-            epoch->asNumber() !=
-                static_cast<double>(
-                    static_cast<uint64_t>(epoch->asNumber()))) {
-            out.error(*epoch, "wrong-type",
-                      "'incarnation' must be a non-negative integer",
-                      "supervisors set it to the campaign's failover "
-                      "count; plain runs omit it");
-        }
-    }
+    check::checkIntegerField(doc, "incarnation", 0, out);
     if (const json::Value *metric = doc.find("slow_metric")) {
         if (!metric->isString() || metric->asString().empty())
             out.error(*metric, "wrong-type",

@@ -30,7 +30,7 @@
 #include <memory>
 #include <string>
 
-#include "core/experiment.hh"
+#include "core/sample_series.hh"
 #include "core/stopping/stopping_rule.hh"
 #include "launcher/backend.hh"
 #include "launcher/retry.hh"

@@ -123,25 +123,10 @@ checkRunSpecImpl(const json::Value &doc, check::CheckResult &out,
         }
     }
 
-    auto integerAtLeast = [&](const char *key, long minimum) {
-        const json::Value *value = doc.find(key);
-        if (!value)
-            return;
-        if (!value->isNumber() ||
-            value->asNumber() < static_cast<double>(minimum)) {
-            out.error(*value, "out-of-range",
-                      "'" + std::string(key) +
-                          "' must be an integer >= " +
-                          std::to_string(minimum));
-        }
-    };
-    integerAtLeast("concurrency", 1);
-    integerAtLeast("jobs", 1);
-    integerAtLeast("max_failures", 0);
-    if (const json::Value *day = doc.find("day")) {
-        if (!day->isNumber())
-            out.error(*day, "wrong-type", "'day' must be a number");
-    }
+    check::checkIntegerField(doc, "concurrency", 1, out);
+    check::checkIntegerField(doc, "jobs", 1, out);
+    check::checkIntegerField(doc, "max_failures", 0, out);
+    check::checkIntegerField(doc, "day", 0, out);
     if (const json::Value *seed = doc.find("seed")) {
         try {
             doc.getUint64("seed", 1);

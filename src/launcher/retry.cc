@@ -39,7 +39,7 @@ checkRetryPolicy(const json::Value &doc, check::CheckResult &out)
                           util::formatDouble(minimum, 0));
         }
     };
-    numberAtLeast("attempts", 1.0);
+    check::checkIntegerField(doc, "attempts", 1, out);
     numberAtLeast("backoff", 0.0);
     numberAtLeast("multiplier", 1.0);
     numberAtLeast("max_backoff", 0.0);

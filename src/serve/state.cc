@@ -35,24 +35,9 @@ checkDaemonState(const json::Value &doc, check::CheckResult &out)
             out.error(*socket, "wrong-type",
                       "'socket' must be a non-empty string");
     }
-    for (const char *key :
-         {"shards", "max_queued_per_tenant", "max_failovers", "pid"}) {
-        const json::Value *field = doc.find(key);
-        if (!field)
-            continue;
-        if (!field->isNumber() || field->asNumber() < 0.0 ||
-            field->asNumber() !=
-                static_cast<double>(
-                    static_cast<long>(field->asNumber()))) {
-            out.error(*field, "wrong-type",
-                      "'" + std::string(key) +
-                          "' must be a non-negative integer");
-        } else if (std::string(key) == "shards" &&
-                   field->asNumber() < 1.0) {
-            out.error(*field, "out-of-range",
-                      "'shards' must be >= 1");
-        }
-    }
+    check::checkIntegerField(doc, "shards", 1, out);
+    for (const char *key : {"max_queued_per_tenant", "max_failovers", "pid"})
+        check::checkIntegerField(doc, key, 0, out);
     if (const json::Value *deadline =
             doc.find("round_deadline_seconds")) {
         if (!deadline->isNumber())

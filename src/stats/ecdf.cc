@@ -79,7 +79,7 @@ ksStatisticAgainstSorted(const std::vector<double> &sorted,
 {
     if (sorted.empty())
         throw std::invalid_argument(
-            "ksStatisticAgainst requires a non-empty sample");
+            "ksStatisticAgainstSorted requires a non-empty sample");
     size_t n = sorted.size();
     double nd = static_cast<double>(n);
     double sup = 0.0;
@@ -90,18 +90,6 @@ ksStatisticAgainstSorted(const std::vector<double> &sorted,
         sup = std::max({sup, upper, lower});
     }
     return sup;
-}
-
-double
-ksStatisticAgainst(const std::vector<double> &sample,
-                   const std::function<double(double)> &cdf)
-{
-    if (sample.empty())
-        throw std::invalid_argument(
-            "ksStatisticAgainst requires a non-empty sample");
-    std::vector<double> sorted = sample;
-    std::sort(sorted.begin(), sorted.end());
-    return ksStatisticAgainstSorted(sorted, cdf);
 }
 
 } // namespace stats

@@ -68,14 +68,11 @@ double ksStatisticSorted(const std::vector<double> &a,
                          const std::vector<double> &b);
 
 /**
- * One-sample Kolmogorov–Smirnov statistic against a theoretical CDF:
- * sup_x |F_n(x) - F(x)|. Used by the distribution classifier to score
- * candidate parametric fits. @p cdf must be non-decreasing into [0, 1].
+ * One-sample Kolmogorov–Smirnov statistic of an already-sorted sample
+ * (ascending) against a theoretical CDF: sup_x |F_n(x) - F(x)|. Used
+ * by the distribution classifier to score candidate parametric fits.
+ * @p cdf must be non-decreasing into [0, 1].
  */
-double ksStatisticAgainst(const std::vector<double> &sample,
-                          const std::function<double(double)> &cdf);
-
-/** One-sample KS over an already-sorted sample (ascending). */
 double ksStatisticAgainstSorted(const std::vector<double> &sorted,
                                 const std::function<double(double)> &cdf);
 

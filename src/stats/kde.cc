@@ -216,11 +216,5 @@ findModes(const std::vector<double> &sample, double prominence,
     return modes;
 }
 
-size_t
-countModes(const std::vector<double> &sample, double prominence)
-{
-    return findModes(sample, prominence).size();
-}
-
 } // namespace stats
 } // namespace sharp

@@ -91,10 +91,6 @@ std::vector<Mode> findModes(const std::vector<double> &sample,
                             double bandwidth = 0.0,
                             size_t gridPoints = 256);
 
-/** Convenience: number of modes found with default parameters. */
-size_t countModes(const std::vector<double> &sample,
-                  double prominence = 0.05);
-
 } // namespace stats
 } // namespace sharp
 

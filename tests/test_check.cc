@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 
 #include "check/analyzer.hh"
@@ -21,6 +23,7 @@
 #include "launcher/reproduce.hh"
 #include "record/journal.hh"
 #include "record/run_log.hh"
+#include "serve/state.hh"
 #include "workflow/workflow_parser.hh"
 
 namespace
@@ -607,6 +610,83 @@ TEST(CliCheck, RejectsUnknownFormat)
     auto result = runCheck(
         {"check", example("run_spec.json"), "--format", "yaml"});
     EXPECT_EQ(result.status, 2);
+}
+
+TEST(CliCheck, IntegerFieldsRejectFractionsOutOfRangeAndNonNumbers)
+{
+    // Integer fields go through one check: a fraction, a value
+    // below the field's minimum or above 2^53, or a non-number gets
+    // one out-of-range error at the field's line, and none reaches a
+    // loader's integer conversion. Only rejected values are used, so
+    // nothing here starts a process.
+    const std::string daemon =
+        std::string("{\"schema\": \"") + serve::daemonStateSchema +
+        "\", \"socket\": \"s.sock\",\n";
+    const std::string experiment = "{\"rule\": \"fixed\",\n";
+    const std::string spec =
+        "{\"backend\": \"sim\", \"workload\": \"bfs\",\n";
+    const std::string retry = "{\"backoff\": 0.5,\n";
+    const std::string fault = "{\"crash\": 0.1,\n";
+    struct Row
+    {
+        std::string prefix;
+        std::string key;
+        std::string value;
+    };
+    const std::vector<Row> rows = {
+        {experiment, "min", "30.5"},
+        {experiment, "max", "1e300"},
+        {experiment, "warmup", "-1"},
+        {experiment, "max", "\"1000\""},
+        {spec, "concurrency", "0"},
+        {spec, "jobs", "2.5"},
+        {spec, "max_failures", "1e300"},
+        {spec, "concurrency", "true"},
+        {spec, "day", "2.7"},
+        {spec, "day", "1e300"},
+        {retry, "attempts", "2.5"},
+        {retry, "attempts", "0"},
+        {retry, "attempts", "1e16"},
+        {fault, "incarnation", "1e300"},
+        {fault, "incarnation", "0.5"},
+        {daemon, "shards", "1e300"},
+        {daemon, "shards", "0"},
+        {daemon, "pid", "-3"},
+        {daemon, "max_failovers", "1.5"},
+        {daemon, "max_queued_per_tenant", "null"},
+    };
+    std::string path = ::testing::TempDir() + "sharp_integer_field.json";
+    for (const Row &row : rows) {
+        std::string where = row.key + "=" + row.value;
+        {
+            std::ofstream out(path);
+            out << row.prefix << "  \"" << row.key << "\": " << row.value
+                << "\n}\n";
+        }
+        auto result = runCheck({"check", path});
+        EXPECT_EQ(result.status, 2) << where << "\n" << result.out;
+        size_t first = result.out.find("[out-of-range]");
+        EXPECT_NE(first, std::string::npos) << where << "\n" << result.out;
+        EXPECT_EQ(result.out.find("[out-of-range]", first + 1),
+                  std::string::npos)
+            << where << "\n" << result.out;
+        EXPECT_NE(result.out.find(path + ":2:"), std::string::npos)
+            << where << "\n" << result.out;
+    }
+
+    // `sharp run` stops at the same located error instead of
+    // converting 1e300 to an integer.
+    {
+        std::ofstream out(path);
+        out << spec << "  \"experiment\": {\"rule\": \"fixed\",\n"
+            << "    \"max\": 1e300}\n}\n";
+    }
+    auto ran = runCheck({"run", "--config", path});
+    EXPECT_EQ(ran.status, 1) << ran.out << ran.err;
+    EXPECT_NE(ran.err.find("line 3: error: 'max'"), std::string::npos)
+        << ran.err;
+    EXPECT_NE(ran.err.find("[out-of-range]"), std::string::npos) << ran.err;
+    std::remove(path.c_str());
 }
 
 // ---- `sharp serve` artifacts: the campaign queue journal and the

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -296,6 +297,126 @@ TEST(Cli, LegacyStatsCacheSpecRunsChecksAndReproduces)
     ASSERT_EQ(repro.status, 0) << repro.err;
     EXPECT_EQ(readFileText(again + ".csv"), readFileText(base + ".csv"));
     EXPECT_EQ(metadataWithoutClock(again + ".md"), metadata);
+    fs::remove_all(dir);
+}
+
+/** The one diagnostic line of @p output carrying @p rule; "" if not one. */
+std::string
+onlyFindingLine(const std::string &output, const std::string &rule)
+{
+    std::istringstream in(output);
+    std::string line, found;
+    size_t count = 0;
+    while (std::getline(in, line)) {
+        if (line.find("[" + rule + "]") != std::string::npos) {
+            found = line;
+            ++count;
+        }
+    }
+    return count == 1 ? found : "";
+}
+
+TEST(Cli, LegacyCheckIntervalSpecRunsChecksReproducesAndResumes)
+{
+    // Specs, metadata and journals used to record "checkInterval", but
+    // every campaign evaluated its stopping rule after every round
+    // whatever it said. The key is ignored: a spec carrying it runs to
+    // the same CSV and records nothing of it, `sharp check` notes it
+    // once at its line, and recorded artifacts reproduce and resume
+    // to the same CSV.
+    fs::path dir = fs::temp_directory_path() / "sharp_cli_legacy_interval";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    std::string spec_text = readFileText(std::string(SHARP_SOURCE_DIR) +
+                                         "/examples/run_spec.json");
+    std::string legacy_text = spec_text;
+    size_t max_key = legacy_text.find("\"max\": 1000,");
+    ASSERT_NE(max_key, std::string::npos);
+    size_t insert_at = legacy_text.find('\n', max_key) + 1;
+    legacy_text.insert(insert_at, "    \"checkInterval\": 50,\n");
+    size_t key_line = 1 + static_cast<size_t>(std::count(
+                              legacy_text.begin(),
+                              legacy_text.begin() +
+                                  static_cast<long>(insert_at),
+                              '\n'));
+    std::string spec = (dir / "spec.json").string();
+    std::string legacy = (dir / "legacy.json").string();
+    std::ofstream(spec) << spec_text;
+    std::ofstream(legacy) << legacy_text;
+
+    CliResult check = run({"check", legacy});
+    EXPECT_EQ(check.status, 0) << check.out << check.err;
+    std::string note = onlyFindingLine(check.out, "obsolete-check-interval");
+    EXPECT_EQ(note.rfind(legacy + ":" + std::to_string(key_line) + ":", 0),
+              0u)
+        << check.out;
+    EXPECT_NE(note.find(": note: "), std::string::npos) << check.out;
+
+    std::string base = (dir / "base").string();
+    std::string journal = (dir / "journal.jsonl").string();
+    ASSERT_EQ(run({"run", "--config", spec, "--journal", journal, "--out",
+                   base})
+                  .status,
+              0);
+    std::string csv = readFileText(base + ".csv");
+    std::string metadata = metadataWithoutClock(base + ".md");
+    EXPECT_EQ(metadata.find("checkInterval"), std::string::npos);
+    std::string run_legacy = (dir / "legacy").string();
+    CliResult ran = run({"run", "--config", legacy, "--out", run_legacy});
+    ASSERT_EQ(ran.status, 0) << ran.err;
+    EXPECT_EQ(readFileText(run_legacy + ".csv"), csv);
+    EXPECT_EQ(metadataWithoutClock(run_legacy + ".md"), metadata);
+
+    // What a run recorded while the key was written: the experiment
+    // entry of the metadata and of the journal's spec line carry it.
+    auto addInterval = [](std::string text) {
+        const std::string max_key = "\"max\":1000,";
+        size_t at = text.find(max_key);
+        if (at != std::string::npos)
+            text.insert(at + max_key.size(), "\"checkInterval\":1,");
+        return text;
+    };
+    std::string recorded = addInterval(readFileText(base + ".md"));
+    ASSERT_NE(recorded.find("\"checkInterval\":1"), std::string::npos);
+    std::string legacy_md = (dir / "recorded.md").string();
+    std::ofstream(legacy_md) << recorded;
+    std::istringstream journal_in(addInterval(readFileText(journal)));
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(journal_in, line);)
+        lines.push_back(line);
+    ASSERT_GT(lines.size(), 8u);
+    ASSERT_NE(lines[0].find("\"checkInterval\":1"), std::string::npos);
+    // Killed five rounds before the end: no done marker.
+    std::string partial;
+    for (size_t i = 0; i + 6 < lines.size(); ++i)
+        partial += lines[i] + "\n";
+    fs::path resume_dir = dir / "resume";
+    fs::create_directories(resume_dir);
+    std::string legacy_journal = (resume_dir / "journal.jsonl").string();
+    std::ofstream(legacy_journal) << partial;
+
+    for (const std::string &artifact : {legacy_md, legacy_journal}) {
+        CliResult noted = run({"check", artifact});
+        EXPECT_EQ(noted.status, 0) << noted.out << noted.err;
+        EXPECT_NE(onlyFindingLine(noted.out, "obsolete-check-interval")
+                      .find(": note: "),
+                  std::string::npos)
+            << noted.out;
+    }
+
+    std::string again = (dir / "again").string();
+    CliResult repro = run({"reproduce", legacy_md, "--out", again});
+    ASSERT_EQ(repro.status, 0) << repro.err;
+    EXPECT_EQ(readFileText(again + ".csv"), csv);
+    EXPECT_EQ(metadataWithoutClock(again + ".md"), metadata);
+
+    std::string resumed = (dir / "resumed").string();
+    CliResult resume =
+        run({"run", "--resume", legacy_journal, "--out", resumed});
+    ASSERT_EQ(resume.status, 0) << resume.err;
+    EXPECT_NE(resume.out.find("resumed to"), std::string::npos)
+        << resume.out;
+    EXPECT_EQ(readFileText(resumed + ".csv"), csv);
     fs::remove_all(dir);
 }
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "check/diagnostic.hh"
 #include "core/config.hh"
 #include "core/stopping/ks_rule.hh"
 #include "json/parser.hh"
@@ -35,8 +36,9 @@ TEST(ExperimentConfig, ParsesFullDocument)
     EXPECT_EQ(config.options.warmupRuns, 3u);
     EXPECT_EQ(config.options.minSamples, 20u);
     EXPECT_EQ(config.options.maxSamples, 1000u);
-    EXPECT_EQ(config.options.checkInterval, 2u);
     EXPECT_EQ(config.seed, 42u);
+    // The legacy key loads but is not carried forward.
+    EXPECT_EQ(config.toJson().find("checkInterval"), nullptr);
 }
 
 TEST(ExperimentConfig, DefaultsApply)
@@ -92,8 +94,31 @@ TEST(ExperimentConfig, RejectsBadBounds)
                      json::parse(R"({"warmup": -1})")),
                  std::invalid_argument);
     EXPECT_THROW(ExperimentConfig::fromJson(
-                     json::parse(R"({"checkInterval": 0})")),
+                     json::parse(R"({"min": 30.5})")),
                  std::invalid_argument);
+    EXPECT_THROW(ExperimentConfig::fromJson(
+                     json::parse(R"({"max": 1e300})")),
+                 std::invalid_argument);
+}
+
+TEST(ExperimentConfig, LegacyCheckIntervalLoadsWithOneNote)
+{
+    // Any value loads: the key is ignored, as `sharp run` always did.
+    for (const char *value : {"0", "1", "50", "\"x\""}) {
+        auto doc = json::parse(std::string("{\"min\": 30,\n"
+                                           " \"checkInterval\": ") +
+                               value + "}");
+        ExperimentConfig config = ExperimentConfig::fromJson(doc);
+        EXPECT_EQ(config.options.minSamples, 30u);
+
+        sharp::check::CheckResult result;
+        checkExperimentConfig(doc, result);
+        ASSERT_EQ(result.diagnostics().size(), 1u) << value;
+        const auto &note = result.diagnostics()[0];
+        EXPECT_EQ(note.severity, sharp::check::Severity::Note);
+        EXPECT_EQ(note.rule, "obsolete-check-interval");
+        EXPECT_EQ(note.line, 2u);
+    }
 }
 
 TEST(ExperimentConfig, RejectsNonNumericParams)
@@ -114,6 +139,13 @@ TEST(ExperimentConfig, BadRuleParamsSurfaceAtParseTime)
     auto doc = json::parse(
         R"({"rule": "ks", "params": {"threshold": -0.5}})");
     EXPECT_THROW(ExperimentConfig::fromJson(doc), std::invalid_argument);
+    // Counts past 2^53 are rejected before the rounding cast to size_t.
+    EXPECT_THROW(ExperimentConfig::fromJson(json::parse(
+                     R"({"rule": "fixed", "params": {"count": 1e300}})")),
+                 std::invalid_argument);
+    EXPECT_THROW(ExperimentConfig::fromJson(json::parse(
+                     R"({"rule": "ks", "params": {"min": 1e16}})")),
+                 std::invalid_argument);
 }
 
 } // anonymous namespace

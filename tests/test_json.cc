@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "json/parser.hh"
 #include "json/value.hh"
 #include "json/writer.hh"
@@ -30,6 +32,12 @@ TEST(JsonValue, TypeMismatchThrows)
     EXPECT_THROW(Value("x").asNumber(), TypeError);
     EXPECT_THROW(Value().asArray(), TypeError);
     EXPECT_THROW(Value(false).members(), TypeError);
+    // Numbers outside long's range, where a cast would be undefined.
+    EXPECT_THROW(Value(1e300).asLong(), TypeError);
+    EXPECT_THROW(Value(-1e19).asLong(), TypeError);
+    EXPECT_THROW(Value(9223372036854775808.0).asLong(), TypeError);
+    EXPECT_EQ(Value(-9223372036854775808.0).asLong(),
+              std::numeric_limits<long>::min());
 }
 
 TEST(JsonValue, ObjectPreservesInsertionOrder)
@@ -68,6 +76,9 @@ TEST(JsonValue, LookupHelpers)
     EXPECT_TRUE(obj.contains("num"));
     EXPECT_FALSE(obj.contains("nope"));
     EXPECT_THROW(obj.at("nope"), std::out_of_range);
+    // Past UINT64_MAX the cast would be undefined.
+    obj.set("huge", 1e300);
+    EXPECT_THROW(obj.getUint64("huge", 0), TypeError);
 }
 
 TEST(JsonParse, Scalars)

@@ -124,7 +124,7 @@ TEST(FindModes, TrimodalSeparated)
 {
     auto xs = mixtureSample({{0.0, 0.4}, {5.0, 0.35}, {10.0, 0.25}}, 0.4,
                             4000, 7);
-    EXPECT_EQ(countModes(xs, 0.15), 3u);
+    EXPECT_EQ(findModes(xs, 0.15).size(), 3u);
 }
 
 TEST(FindModes, MassesSumToOne)

@@ -117,9 +117,9 @@ TEST(SampleSeries, NegativeAndMixedValues)
 
 TEST(SampleSeries, StreamingSkewnessTracksBatch)
 {
-    // The streaming higher moments match the batch formulas up to
-    // floating-point accumulation order, not bit for bit — hence the
-    // relative tolerance here, unlike the engine's exactness tests.
+    // The series keeps no higher moments of its own: its skewness and
+    // kurtosis are the batch statistics, so they agree bit for bit as
+    // the series grows.
     sharp::rng::Xoshiro256 gen(41);
     sharp::rng::LogNormalSampler sampler(0.0, 0.9);
     SampleSeries s;
@@ -129,10 +129,7 @@ TEST(SampleSeries, StreamingSkewnessTracksBatch)
         s.append(v);
         xs.push_back(v);
         if (i == 99 || i == 999 || i == 1999) {
-            double batch = stats::skewness(xs);
-            EXPECT_NEAR(s.skewness(), batch,
-                        1e-9 * std::max(1.0, std::fabs(batch)))
-                << "n=" << i + 1;
+            EXPECT_EQ(s.skewness(), stats::skewness(xs)) << "n=" << i + 1;
         }
     }
 }
@@ -148,9 +145,7 @@ TEST(SampleSeries, StreamingKurtosisTracksBatch)
         s.append(v);
         xs.push_back(v);
         if (i == 99 || i == 999 || i == 1999) {
-            double batch = stats::excessKurtosis(xs);
-            EXPECT_NEAR(s.excessKurtosis(), batch,
-                        1e-9 * std::max(1.0, std::fabs(batch)))
+            EXPECT_EQ(s.excessKurtosis(), stats::excessKurtosis(xs))
                 << "n=" << i + 1;
         }
     }

@@ -410,12 +410,14 @@ TEST(Factory, RejectsInvalidParameterValues)
 TEST(TailoredSuite, HasEightRules)
 {
     // §IV-c: "eight dynamic stopping rules tailored for specific types
-    // of distributions".
-    auto suite = makeTailoredSuite();
-    EXPECT_EQ(suite.size(), 8u);
+    // of distributions". The factory builds each under its own name.
+    const std::vector<std::string> tailored = {
+        "constant",      "normal-ci",    "geomean-ci", "median-ci",
+        "uniform-range", "autocorr-ess", "modality",   "tail-quantile"};
     std::vector<std::string> names;
-    for (const auto &rule : suite)
-        names.push_back(rule->name());
+    for (const auto &name : tailored)
+        names.push_back(StoppingRuleFactory::instance().make(name)->name());
+    EXPECT_EQ(names, tailored);
     // All distinct.
     std::sort(names.begin(), names.end());
     EXPECT_EQ(std::unique(names.begin(), names.end()), names.end());
