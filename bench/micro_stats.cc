@@ -3,7 +3,8 @@
  * google-benchmark microbenchmarks of the statistical kernels on
  * SHARP's hot paths: the KS statistic (evaluated after every round by
  * the KS stopping rule), KDE mode finding (modality rule +
- * classifier), quantiles, CIs, bootstrap, and histogram construction.
+ * classifier), quantiles, CIs, bootstrap and its bounded draw, and
+ * histogram construction.
  */
 
 #include <benchmark/benchmark.h>
@@ -99,13 +100,15 @@ BENCHMARK(BM_MeanCi)->Range(64, 16384);
 
 /**
  * The bootstrap `sharp compare` runs: the median-ratio CI over two
- * sorted samples of 10^3, as a tidy-CSV scenario reaches it.
+ * sorted samples, as a tidy-CSV scenario reaches it. Arguments:
+ * resamples, then the size of each sample.
  */
 void
 BM_Bootstrap(benchmark::State &state)
 {
-    auto baseline = bimodalSample(1000, 9);
-    auto candidate = bimodalSample(1000, 10);
+    size_t n = static_cast<size_t>(state.range(1));
+    auto baseline = bimodalSample(n, 9);
+    auto candidate = bimodalSample(n, 10);
     std::sort(baseline.begin(), baseline.end());
     std::sort(candidate.begin(), candidate.end());
     rng::Xoshiro256 gen(10);
@@ -115,7 +118,19 @@ BM_Bootstrap(benchmark::State &state)
             static_cast<size_t>(state.range(0)), gen));
     }
 }
-BENCHMARK(BM_Bootstrap)->Range(100, 1600);
+BENCHMARK(BM_Bootstrap)
+    ->ArgsProduct({benchmark::CreateRange(100, 1600, 4), {1000, 10000}});
+
+/** One bounded draw, the bootstrap's inner step, at a 10^3 bound. */
+void
+BM_NextBelow(benchmark::State &state)
+{
+    rng::Xoshiro256 gen(11);
+    uint64_t bound = static_cast<uint64_t>(state.range(0));
+    for (auto _ : state)
+        benchmark::DoNotOptimize(gen.nextBelow(bound));
+}
+BENCHMARK(BM_NextBelow)->Arg(1000);
 
 void
 BM_HistogramBuild(benchmark::State &state)

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 
 #include <sys/stat.h>
@@ -355,10 +356,35 @@ resolveJournalPath(const std::string &path)
 }
 
 /**
- * Fold the fault-tolerance flags into @p spec (on top of whatever the
- * config file set). Returns false (and reports) on bad input.
+ * Load the JSON spec file at @p path with @p load. A spec that fails
+ * its check is reported on @p err as `sharp check` reports it, at its
+ * file, line and column, and yields nothing.
  */
-bool
+template <typename Spec>
+std::optional<Spec>
+loadSpecFile(const std::string &path, Spec (*load)(const json::Value &),
+             std::ostream &err)
+{
+    try {
+        return load(json::parseFile(path));
+    } catch (const check::CheckFailure &failure) {
+        check::CheckResult located;
+        located.setArtifact(path);
+        for (const check::Diagnostic &finding :
+             failure.result().diagnostics())
+            located.add(finding);
+        err << located.renderText();
+        return std::nullopt;
+    }
+}
+
+/**
+ * Fold the fault-tolerance flags into @p spec (on top of whatever the
+ * config file set). Returns 0, or the exit code after reporting bad
+ * input: 2 for a bad flag value, 1 for a fault spec that fails its
+ * check.
+ */
+int
 applyFaultToleranceFlags(const ParsedArgs &args, std::ostream &err,
                          launcher::ReproSpec &spec)
 {
@@ -366,14 +392,14 @@ applyFaultToleranceFlags(const ParsedArgs &args, std::ostream &err,
     if (!parseCount(args, err, "run", "retries", 0, retries) ||
         !parseCount(args, err, "run", "max-failures", 0,
                     spec.maxFailures))
-        return false;
+        return 2;
     spec.retry.maxAttempts = retries + 1;
     std::string backoff = args.get("retry-backoff");
     if (!backoff.empty()) {
         auto parsed = util::parseDouble(backoff);
         if (!parsed || *parsed < 0.0) {
             err << "run: --retry-backoff must be a number >= 0\n";
-            return false;
+            return 2;
         }
         spec.retry.backoffBaseSeconds = *parsed;
     }
@@ -382,17 +408,20 @@ applyFaultToleranceFlags(const ParsedArgs &args, std::ostream &err,
         auto parsed = util::parseDouble(rate);
         if (!parsed || *parsed <= 0.0 || *parsed > 1.0) {
             err << "run: --max-failure-rate must be in (0, 1]\n";
-            return false;
+            return 2;
         }
         spec.maxFailureRate = *parsed;
     }
     std::string fault = args.get("fault");
     if (!fault.empty()) {
-        spec.fault =
-            launcher::FaultSpec::fromJson(json::parseFile(fault));
+        std::optional<launcher::FaultSpec> loaded =
+            loadSpecFile(fault, &launcher::FaultSpec::fromJson, err);
+        if (!loaded)
+            return 1;
+        spec.fault = *loaded;
         spec.faultEnabled = true;
     }
-    return true;
+    return 0;
 }
 
 /**
@@ -487,11 +516,15 @@ cmdRun(const ParsedArgs &args, std::ostream &out, std::ostream &err)
     // below are the quick path.
     std::string config_path = args.get("config");
     if (!config_path.empty()) {
-        launcher::ReproSpec spec =
-            launcher::ReproSpec::fromJson(json::parseFile(config_path));
-        if (!parseCount(args, err, "run", "jobs", 1, spec.jobs) ||
-            !applyFaultToleranceFlags(args, err, spec))
+        std::optional<launcher::ReproSpec> loaded = loadSpecFile(
+            config_path, &launcher::ReproSpec::fromJson, err);
+        if (!loaded)
+            return 1;
+        launcher::ReproSpec &spec = *loaded;
+        if (!parseCount(args, err, "run", "jobs", 1, spec.jobs))
             return 2;
+        if (int status = applyFaultToleranceFlags(args, err, spec))
+            return status;
         return executeRun(spec, io, args, out, err, spec.workload);
     }
 
@@ -526,6 +559,7 @@ cmdRun(const ParsedArgs &args, std::ostream &out, std::ostream &err)
             spec.experiment.ruleParams[key] = *parsed;
         }
     }
+    spec.experiment.makeRule(); // validate before a journal opens
     spec.experiment.options.maxSamples = 2000;
     if (!parseCount(args, err, "run", "day", 0, spec.day) ||
         !parseCount(args, err, "run", "seed", 0, spec.seed) ||
@@ -533,9 +567,10 @@ cmdRun(const ParsedArgs &args, std::ostream &out, std::ostream &err)
                     spec.concurrency) ||
         !parseCount(args, err, "run", "jobs", 1, spec.jobs) ||
         !parseCount(args, err, "run", "max", 2,
-                    spec.experiment.options.maxSamples) ||
-        !applyFaultToleranceFlags(args, err, spec))
+                    spec.experiment.options.maxSamples))
         return 2;
+    if (int status = applyFaultToleranceFlags(args, err, spec))
+        return status;
 
     std::string label = scenario_path.empty() ?
                             workload + " @ " + machine_id :

@@ -1,5 +1,6 @@
 #include "core/stopping/stopping_rule.hh"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "core/stopping/adaptive_rules.hh"
@@ -25,17 +26,20 @@ param(const Params &params, const std::string &key, double fallback)
     return it != params.end() ? it->second : fallback;
 }
 
+/** An integer parameter, range-checked like check::checkIntegerField. */
 size_t
 paramCount(const Params &params, const std::string &key, size_t fallback)
 {
     auto it = params.find(key);
     if (it == params.end())
         return fallback;
-    // The bound keeps the rounding cast defined (NaN fails it too).
-    if (!(it->second >= 0.0 && it->second <= 9007199254740992.0))
+    // The bound keeps the cast defined (NaN fails it too).
+    double value = it->second;
+    if (!(value >= 0.0 && value <= 9007199254740992.0 &&
+          value == std::floor(value)))
         throw std::invalid_argument("parameter '" + key +
-                                    "' must be in [0, 2^53]");
-    return static_cast<size_t>(it->second + 0.5);
+                                    "' must be an integer in [0, 2^53]");
+    return static_cast<size_t>(value);
 }
 
 void

@@ -7,17 +7,6 @@ namespace sharp
 namespace rng
 {
 
-namespace
-{
-
-inline uint64_t
-rotl(uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
-} // anonymous namespace
-
 uint64_t
 SplitMix64::next()
 {
@@ -34,22 +23,6 @@ Xoshiro256::Xoshiro256(uint64_t seed)
         word = mixer.next();
 }
 
-uint64_t
-Xoshiro256::next()
-{
-    const uint64_t result = rotl(state[0] + state[3], 23) + state[0];
-    const uint64_t t = state[1] << 17;
-
-    state[2] ^= state[0];
-    state[3] ^= state[1];
-    state[1] ^= state[2];
-    state[0] ^= state[3];
-    state[2] ^= t;
-    state[3] = rotl(state[3], 45);
-
-    return result;
-}
-
 double
 Xoshiro256::nextDouble()
 {
@@ -62,20 +35,10 @@ Xoshiro256::nextDoubleOpen()
     return (static_cast<double>(next() >> 11) + 0.5) * 0x1.0p-53;
 }
 
-uint64_t
-Xoshiro256::nextBelow(uint64_t bound)
+void
+Xoshiro256::zeroBound()
 {
-    if (bound == 0)
-        util::panic("nextBelow called with bound 0");
-    // Lemire's rejection method for unbiased bounded integers.
-    uint64_t threshold = (0 - bound) % bound;
-    while (true) {
-        uint64_t raw = next();
-        __uint128_t mul =
-            static_cast<__uint128_t>(raw) * static_cast<__uint128_t>(bound);
-        if (static_cast<uint64_t>(mul) >= threshold)
-            return static_cast<uint64_t>(mul >> 64);
-    }
+    util::panic("nextBelow called with bound 0");
 }
 
 void

@@ -13,6 +13,7 @@
 #define SHARP_RNG_XOSHIRO_HH
 
 #include <array>
+#include <bit>
 #include <cstdint>
 
 namespace sharp
@@ -55,7 +56,20 @@ class Xoshiro256
     result_type operator()() { return next(); }
 
     /** Next 64 random bits. */
-    uint64_t next();
+    uint64_t next()
+    {
+        const uint64_t result = std::rotl(state[0] + state[3], 23) + state[0];
+        const uint64_t t = state[1] << 17;
+
+        state[2] ^= state[0];
+        state[3] ^= state[1];
+        state[1] ^= state[2];
+        state[0] ^= state[3];
+        state[2] ^= t;
+        state[3] = std::rotl(state[3], 45);
+
+        return result;
+    }
 
     /** Uniform double in [0, 1) with 53 bits of precision. */
     double nextDouble();
@@ -63,8 +77,28 @@ class Xoshiro256
     /** Uniform double in (0, 1) — never exactly 0; safe for log(). */
     double nextDoubleOpen();
 
-    /** Uniform integer in [0, bound). @p bound must be nonzero. */
-    uint64_t nextBelow(uint64_t bound);
+    /**
+     * Uniform integer in [0, bound). @p bound must be nonzero.
+     *
+     * Lemire's rejection method ("Fast Random Integer Generation in an
+     * Interval", 2019): a draw is kept iff the low word of
+     * next() * bound is at least (2^64 - bound) mod bound. That
+     * threshold is below bound, so a low word >= bound is kept without
+     * the 64-bit division that computes it, and the stream is the one
+     * an always-dividing loop draws.
+     */
+    uint64_t nextBelow(uint64_t bound)
+    {
+        if (bound == 0)
+            zeroBound();
+        __uint128_t product = static_cast<__uint128_t>(next()) * bound;
+        if (static_cast<uint64_t>(product) < bound) {
+            const uint64_t threshold = (0 - bound) % bound;
+            while (static_cast<uint64_t>(product) < threshold)
+                product = static_cast<__uint128_t>(next()) * bound;
+        }
+        return static_cast<uint64_t>(product >> 64);
+    }
 
     /**
      * Jump ahead 2^128 steps; yields a stream independent from the
@@ -76,6 +110,9 @@ class Xoshiro256
     Xoshiro256 split();
 
   private:
+    /** nextBelow(0) panics here, out of line. */
+    [[noreturn]] static void zeroBound();
+
     std::array<uint64_t, 4> state;
 };
 

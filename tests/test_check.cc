@@ -683,9 +683,75 @@ TEST(CliCheck, IntegerFieldsRejectFractionsOutOfRangeAndNonNumbers)
     }
     auto ran = runCheck({"run", "--config", path});
     EXPECT_EQ(ran.status, 1) << ran.out << ran.err;
-    EXPECT_NE(ran.err.find("line 3: error: 'max'"), std::string::npos)
+    EXPECT_NE(ran.err.find(path + ":3:12: error: 'max'"), std::string::npos)
         << ran.err;
     EXPECT_NE(ran.err.find("[out-of-range]"), std::string::npos) << ran.err;
+    std::remove(path.c_str());
+}
+
+TEST(CliCheck, FractionalRuleCountsAreErrors)
+{
+    // A rule count is an integer like every other count, so `sharp
+    // check` rejects 2.5 as an error.
+    std::string path = ::testing::TempDir() + "sharp_rule_count.json";
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        {"fixed", "count"}, {"ks", "min"}, {"meta", "interval"}};
+    for (const auto &[rule, key] : cases) {
+        {
+            std::ofstream out(path);
+            out << "{\"backend\": \"sim\", \"workload\": \"bfs\",\n"
+                << "  \"experiment\": {\"rule\": \"" << rule
+                << "\", \"params\": {\"" << key << "\": 2.5}}\n}\n";
+        }
+        auto result = runCheck({"check", path});
+        EXPECT_EQ(result.status, 2) << rule << "\n" << result.out;
+        EXPECT_NE(result.out.find("parameter '" + key +
+                                  "' must be an integer in [0, 2^53] "
+                                  "[bad-rule-params]"),
+                  std::string::npos)
+            << rule << "\n" << result.out;
+    }
+    std::remove(path.c_str());
+}
+
+TEST(CliCheck, RunReportsARejectedSpecAtItsFileLineAndColumn)
+{
+    // `sharp run --config` and `--fault` print what `sharp check`
+    // prints for the same file, and exit 1 before anything runs.
+    std::string path = ::testing::TempDir() + "sharp_big_max.json";
+    {
+        std::ofstream out(path);
+        out << "{\n"
+               "  \"backend\": \"sim\",\n"
+               "  \"workload\": \"bfs\",\n"
+               "  \"experiment\": {\n"
+               "    \"rule\": \"fixed\",\n"
+               "    \"max\": 1e300\n"
+               "  }\n"
+               "}\n";
+    }
+    const std::string located =
+        path + ":6:12: error: 'max' must be an integer in [1, 2^53] "
+               "[out-of-range]\n";
+    auto checked = runCheck({"check", path});
+    EXPECT_EQ(checked.status, 2);
+    EXPECT_NE(checked.out.find(located), std::string::npos)
+        << checked.out;
+    auto ran = runCheck({"run", "--config", path});
+    EXPECT_EQ(ran.status, 1);
+    EXPECT_EQ(ran.err, located);
+    EXPECT_EQ(ran.out, "");
+
+    {
+        std::ofstream out(path);
+        out << "{\"crash\": 0.1,\n  \"incarnation\": 0.5\n}\n";
+    }
+    auto faulted = runCheck({"run", "--workload", "bfs", "--fault", path});
+    EXPECT_EQ(faulted.status, 1);
+    EXPECT_NE(faulted.err.find(path + ":2:18: error: 'incarnation'"),
+              std::string::npos)
+        << faulted.err;
+    EXPECT_EQ(faulted.out, "");
     std::remove(path.c_str());
 }
 

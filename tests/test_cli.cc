@@ -213,6 +213,28 @@ TEST(Cli, RunRejectsBadNumbers)
     }
 }
 
+TEST(Cli, RunRejectsAFractionalRuleCountBeforeItsFirstRound)
+{
+    // A fractional count is an error, not a rounded count. The rule is
+    // built before a journal opens, so nothing runs or is written.
+    fs::path base = fs::temp_directory_path() / "sharp_cli_fractional";
+    fs::path journal = base.string() + ".journal.jsonl";
+    fs::path csv = base.string() + ".csv";
+    fs::remove(journal);
+    fs::remove(csv);
+    CliResult result = run({"run", "--workload", "bfs", "--rule", "fixed",
+                            "--count", "2.5", "--journal",
+                            journal.string(), "--out", base.string()});
+    EXPECT_EQ(result.status, 1) << result.out << result.err;
+    EXPECT_NE(result.err.find(
+                  "parameter 'count' must be an integer in [0, 2^53]"),
+              std::string::npos)
+        << result.err;
+    EXPECT_EQ(result.out.find("collected"), std::string::npos);
+    EXPECT_FALSE(fs::exists(journal));
+    EXPECT_FALSE(fs::exists(csv));
+}
+
 TEST(Cli, ReproduceWritesTheSameArtifactsAsRun)
 {
     fs::path dir = fs::temp_directory_path() / "sharp_cli_repro_same";

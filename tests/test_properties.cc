@@ -21,6 +21,7 @@
 #include "sim/machine.hh"
 #include "sim/rodinia.hh"
 #include "sim/workload.hh"
+#include "speedup_spec.hh"
 #include "stats/ci.hh"
 #include "stats/descriptive.hh"
 #include "stats/ecdf.hh"
@@ -313,6 +314,18 @@ TEST(QuantileCiIndices, BinarySearchMatchesPmfPrefixSumUpTo1e5)
     EXPECT_EQ(sweep.cases, 12 * sizes.size());
     EXPECT_EQ(sweep.mismatches, 0u) << sweep.firstMismatch;
     EXPECT_EQ(sweep.overEvalBound, 0u);
+}
+
+TEST(SpeedupOfMedians, CountingWalkMatchesSortSpecUpTo1e4)
+{
+    // test_speedup.cc covers n up to 2000; past it, a stride to 1e4.
+    std::vector<size_t> sizes;
+    for (size_t n = 2001; n < 10000; n += 1009)
+        sizes.push_back(n);
+    sizes.push_back(10000);
+    test::SpeedupSweep sweep = test::sweepSpeedupOfMedians(sizes, 60);
+    EXPECT_EQ(sweep.cases, 9 * sizes.size());
+    EXPECT_EQ(sweep.mismatches, 0u) << sweep.firstMismatch;
 }
 
 // ---------------------------------------------------------------

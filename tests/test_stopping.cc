@@ -407,6 +407,30 @@ TEST(Factory, RejectsInvalidParameterValues)
                  std::invalid_argument);
 }
 
+TEST(Factory, RejectsFractionalCounts)
+{
+    // Counts are integers, worded like check::checkIntegerField: 2.5
+    // is an error, not a count of 3.
+    auto &factory = StoppingRuleFactory::instance();
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        {"fixed", "count"}, {"ks", "min"},       {"median-ci", "min"},
+        {"meta", "min"},    {"meta", "interval"},
+    };
+    for (const auto &[rule, key] : cases) {
+        for (double bad : {2.5, 1e-9, 30.000001}) {
+            try {
+                factory.make(rule, {{key, bad}});
+                ADD_FAILURE() << rule << " accepted " << key << " = " << bad;
+            } catch (const std::invalid_argument &problem) {
+                EXPECT_EQ(std::string(problem.what()),
+                          "parameter '" + key +
+                              "' must be an integer in [0, 2^53]");
+            }
+        }
+        EXPECT_NO_THROW(factory.make(rule, {{key, 30.0}})) << rule;
+    }
+}
+
 TEST(TailoredSuite, HasEightRules)
 {
     // §IV-c: "eight dynamic stopping rules tailored for specific types
