@@ -3,8 +3,8 @@
  * google-benchmark microbenchmarks of the statistical kernels on
  * SHARP's hot paths: the KS statistic (evaluated after every round by
  * the KS stopping rule), KDE mode finding (modality rule +
- * classifier), quantiles, CIs, bootstrap and its bounded draw, and
- * histogram construction.
+ * classifier), quantiles, CIs and the median-CI coverage sum,
+ * bootstrap and its bounded draw, and histogram construction.
  */
 
 #include <benchmark/benchmark.h>
@@ -97,6 +97,20 @@ BM_MeanCi(benchmark::State &state)
         benchmark::DoNotOptimize(stats::meanCiRightTailed(xs, 0.95));
 }
 BENCHMARK(BM_MeanCi)->Range(64, 16384);
+
+/**
+ * One median-CI coverage sum, the term the warm walk re-reads each
+ * round: n at the 0.95 walk's k, about 2 z sqrt(n) PMF terms.
+ */
+void
+BM_MedianOrderCoverage(benchmark::State &state)
+{
+    size_t n = static_cast<size_t>(state.range(0));
+    size_t k = stats::medianCiLowerK(n, 0.95);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(stats::medianOrderCoverage(n, k));
+}
+BENCHMARK(BM_MedianOrderCoverage)->Arg(1000)->Arg(10000)->Arg(100000);
 
 /**
  * The bootstrap `sharp compare` runs: the median-ratio CI over two

@@ -395,10 +395,7 @@ checkArtifactText(const std::string &path, const std::string &text,
     try {
         doc = json::parse(text);
     } catch (const json::ParseError &problem) {
-        out.report(Severity::Error,
-                   json::Location{static_cast<uint32_t>(problem.line),
-                                  static_cast<uint32_t>(problem.column)},
-                   "json-syntax", problem.what());
+        out.syntaxError(problem);
         return kind;
     } catch (const std::exception &problem) {
         out.error(std::string("json-syntax"), problem.what());

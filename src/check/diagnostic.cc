@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "json/parser.hh"
+
 namespace sharp
 {
 namespace check
@@ -125,6 +127,15 @@ CheckResult::warning(std::string rule, std::string message,
 {
     report(Severity::Warning, json::Location{}, std::move(rule),
            std::move(message), std::move(hint));
+}
+
+void
+CheckResult::syntaxError(const json::ParseError &problem)
+{
+    report(Severity::Error,
+           json::Location{static_cast<uint32_t>(problem.line),
+                          static_cast<uint32_t>(problem.column)},
+           "json-syntax", problem.what());
 }
 
 size_t

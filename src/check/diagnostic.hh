@@ -28,6 +28,11 @@
 
 namespace sharp
 {
+namespace json
+{
+class ParseError;
+} // namespace json
+
 namespace check
 {
 
@@ -105,6 +110,9 @@ class CheckResult
                std::string hint = "");
     void warning(std::string rule, std::string message,
                  std::string hint = "");
+
+    /** Append a JSON parse error as a "json-syntax" error at its place. */
+    void syntaxError(const json::ParseError &problem);
 
     const std::vector<Diagnostic> &diagnostics() const
     {

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <csignal>
 #include <cstdint>
+#include <initializer_list>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -273,6 +274,37 @@ parseCount(const ParsedArgs &args, std::ostream &err, const char *cmd,
     return true;
 }
 
+/**
+ * Read the rule flags @p keys into @p config and build its rule, so a
+ * rule name or parameter the rule rejects is a bad flag value like a
+ * non-number. Returns false (and reports) on bad input.
+ */
+bool
+parseRuleFlags(const ParsedArgs &args, std::ostream &err, const char *cmd,
+               std::initializer_list<const char *> keys,
+               core::ExperimentConfig &config)
+{
+    config.ruleName = args.get("rule", "ks");
+    for (const char *key : keys) {
+        std::string value = args.get(key);
+        if (value.empty())
+            continue;
+        auto parsed = util::parseDouble(value);
+        if (!parsed) {
+            err << cmd << ": --" << key << " must be a number\n";
+            return false;
+        }
+        config.ruleParams[key] = *parsed;
+    }
+    try {
+        config.makeRule();
+    } catch (const std::exception &problem) {
+        err << cmd << ": " << problem.what() << "\n";
+        return false;
+    }
+    return true;
+}
+
 int
 cmdList(std::ostream &out)
 {
@@ -356,26 +388,29 @@ resolveJournalPath(const std::string &path)
 }
 
 /**
- * Load the JSON spec file at @p path with @p load. A spec that fails
- * its check is reported on @p err as `sharp check` reports it, at its
- * file, line and column, and yields nothing.
+ * Load the JSON spec file at @p path with @p load. A file that is not
+ * JSON, or a spec that fails its check, is reported on @p err as
+ * `sharp check` reports it, at its file, line and column, and yields
+ * nothing.
  */
 template <typename Spec>
 std::optional<Spec>
 loadSpecFile(const std::string &path, Spec (*load)(const json::Value &),
              std::ostream &err)
 {
+    check::CheckResult located;
+    located.setArtifact(path);
     try {
         return load(json::parseFile(path));
+    } catch (const json::ParseError &problem) {
+        located.syntaxError(problem);
     } catch (const check::CheckFailure &failure) {
-        check::CheckResult located;
-        located.setArtifact(path);
         for (const check::Diagnostic &finding :
              failure.result().diagnostics())
             located.add(finding);
-        err << located.renderText();
-        return std::nullopt;
     }
+    err << located.renderText();
+    return std::nullopt;
 }
 
 /**
@@ -546,22 +581,14 @@ cmdRun(const ParsedArgs &args, std::ostream &out, std::ostream &err)
         spec.workload = workload;
         spec.machines = {machine_id};
     }
-    spec.experiment.ruleName = args.get("rule", "ks");
-    for (const char *key : {"threshold", "level", "count", "min",
-                            "quantile", "prominence"}) {
-        std::string value = args.get(key);
-        if (!value.empty()) {
-            auto parsed = util::parseDouble(value);
-            if (!parsed) {
-                err << "run: --" << key << " must be a number\n";
-                return 2;
-            }
-            spec.experiment.ruleParams[key] = *parsed;
-        }
-    }
-    spec.experiment.makeRule(); // validate before a journal opens
     spec.experiment.options.maxSamples = 2000;
-    if (!parseCount(args, err, "run", "day", 0, spec.day) ||
+    // parseRuleFlags builds the rule, so a rejected one exits before a
+    // journal opens.
+    if (!parseRuleFlags(args, err, "run",
+                        {"threshold", "level", "count", "min", "quantile",
+                         "prominence"},
+                        spec.experiment) ||
+        !parseCount(args, err, "run", "day", 0, spec.day) ||
         !parseCount(args, err, "run", "seed", 0, spec.seed) ||
         !parseCount(args, err, "run", "concurrency", 1,
                     spec.concurrency) ||
@@ -835,18 +862,9 @@ cmdMicro(const ParsedArgs &args, std::ostream &out, std::ostream &err)
     }
 
     const auto &probe = micro::microByName(args.positional[0]);
-    core::StoppingRuleFactory::Params params;
-    std::string threshold = args.get("threshold");
-    if (!threshold.empty()) {
-        auto parsed = util::parseDouble(threshold);
-        if (!parsed) {
-            err << "micro: --threshold must be a number\n";
-            return 2;
-        }
-        params["threshold"] = *parsed;
-    }
-    auto rule = core::StoppingRuleFactory::instance().make(
-        args.get("rule", "ks"), params);
+    core::ExperimentConfig config;
+    if (!parseRuleFlags(args, err, "micro", {"threshold"}, config))
+        return 2;
 
     launcher::LaunchOptions options;
     options.warmupRounds = 3;
@@ -857,7 +875,7 @@ cmdMicro(const ParsedArgs &args, std::ostream &out, std::ostream &err)
         return 2;
 
     auto backend = std::make_shared<micro::MicroBackend>(probe);
-    launcher::Launcher l(backend, std::move(rule), options);
+    launcher::Launcher l(backend, config.makeRule(), options);
     auto report = l.launch();
 
     out << probe.name << " (" << probe.description << "): "
@@ -875,22 +893,12 @@ cmdSuite(const ParsedArgs &args, std::ostream &out, std::ostream &err)
 {
     std::string machine = args.get("machine", "machine1");
     core::ExperimentConfig config;
-    config.ruleName = args.get("rule", "ks");
-    for (const char *key : {"threshold", "level", "count", "min"}) {
-        std::string value = args.get(key);
-        if (!value.empty()) {
-            auto parsed = util::parseDouble(value);
-            if (!parsed) {
-                err << "suite: --" << key << " must be a number\n";
-                return 2;
-            }
-            config.ruleParams[key] = *parsed;
-        }
-    }
     config.options.maxSamples = 1000;
     size_t jobs = 1;
     size_t retries = 0;
-    if (!parseCount(args, err, "suite", "max", 2,
+    if (!parseRuleFlags(args, err, "suite",
+                        {"threshold", "level", "count", "min"}, config) ||
+        !parseCount(args, err, "suite", "max", 2,
                     config.options.maxSamples) ||
         !parseCount(args, err, "suite", "seed", 0, config.seed) ||
         !parseCount(args, err, "suite", "jobs", 1, jobs) ||
@@ -898,7 +906,6 @@ cmdSuite(const ParsedArgs &args, std::ostream &out, std::ostream &err)
         return 2;
     launcher::RetryPolicy retry;
     retry.maxAttempts = retries + 1;
-    config.makeRule(); // validate eagerly
 
     std::string scenarios_dir = args.get("scenarios");
     std::vector<launcher::SuiteEntry> entries;

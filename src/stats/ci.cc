@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 #include "stats/descriptive.hh"
 #include "stats/special.hh"
@@ -30,15 +31,24 @@ checkLevel(double level)
         throw std::invalid_argument("confidence level must be in (0, 1)");
 }
 
-/** log of the binomial CDF term helper: C(n,k) p^k q^(n-k) at p=q=0.5. */
-double
-binomialHalfPmf(size_t n, size_t k)
+/**
+ * log(m!) as logGamma(m + 1) returns it, for m = 0..size() - 1. Each
+ * coverage term needs three log factorials, and the median-CI walks
+ * ask for the same ones round after round; a table entry is the value
+ * the same logGamma call returns, so a read is exact by construction.
+ * One table per thread, so a read takes no lock; it grows to the
+ * largest n its thread has asked for and lives as long as the thread.
+ */
+thread_local std::vector<double> logFactorials;
+
+/** The calling thread's table, grown to hold log(n!). */
+const double *
+logFactorialsTo(size_t n)
 {
-    double log_choose = logGamma(static_cast<double>(n) + 1.0) -
-                        logGamma(static_cast<double>(k) + 1.0) -
-                        logGamma(static_cast<double>(n - k) + 1.0);
-    return std::exp(log_choose -
-                    static_cast<double>(n) * std::log(2.0));
+    std::vector<double> &lf = logFactorials;
+    while (lf.size() <= n)
+        lf.push_back(logGamma(static_cast<double>(lf.size()) + 1.0));
+    return lf.data();
 }
 
 } // anonymous namespace
@@ -72,9 +82,14 @@ meanCiRightTailed(const std::vector<double> &x, double level)
 double
 medianOrderCoverage(size_t n, size_t k)
 {
+    // Each term is C(n, j) 2^-n. Keep the operands and their order: the
+    // sum must equal, bit for bit, the one three logGamma calls per term
+    // give (tests/median_ci_spec.hh).
+    const double *lf = logFactorialsTo(n);
     double coverage = 0.0;
     for (size_t j = k; j <= n - k; ++j)
-        coverage += binomialHalfPmf(n, j);
+        coverage += std::exp(lf[n] - lf[j] - lf[n - j] -
+                             static_cast<double>(n) * std::log(2.0));
     return coverage;
 }
 

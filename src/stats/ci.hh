@@ -70,7 +70,9 @@ ConfidenceInterval medianCiSorted(const std::vector<double> &sorted,
  * median, P(k <= B <= n-k) with B ~ Binomial(n, 1/2), summed in the
  * exact term order medianCi uses. Exposed so incremental callers
  * (core::StatsCache) can warm-start the k search yet verify against
- * the identical batch arithmetic.
+ * the identical batch arithmetic. Requires k <= n. The log
+ * factorials come from a per-thread table that grows to the largest n
+ * its thread has asked for (8 bytes per entry).
  */
 double medianOrderCoverage(size_t n, size_t k);
 

@@ -755,6 +755,34 @@ TEST(CliCheck, RunReportsARejectedSpecAtItsFileLineAndColumn)
     std::remove(path.c_str());
 }
 
+TEST(CliCheck, RunReportsMalformedJsonAtItsFileLineAndColumn)
+{
+    // A --config or --fault file that is not JSON gets the located
+    // json-syntax line `sharp check` prints for it, not a bare parse
+    // error, and exits 1 before anything runs.
+    std::string path = ::testing::TempDir() + "sharp_bad_syntax.json";
+    {
+        std::ofstream out(path);
+        out << "{\"crash\": 0.1,\n  \"seed\": }\n";
+    }
+    const std::string located =
+        path + ":2:11: error: JSON parse error at line 2, column 11: "
+               "unexpected character [json-syntax]\n";
+    auto checked = runCheck({"check", path});
+    EXPECT_EQ(checked.status, 2);
+    EXPECT_NE(checked.out.find(located), std::string::npos)
+        << checked.out;
+    auto configured = runCheck({"run", "--config", path});
+    EXPECT_EQ(configured.status, 1);
+    EXPECT_EQ(configured.err, located);
+    EXPECT_EQ(configured.out, "");
+    auto faulted = runCheck({"run", "--workload", "bfs", "--fault", path});
+    EXPECT_EQ(faulted.status, 1);
+    EXPECT_EQ(faulted.err, located);
+    EXPECT_EQ(faulted.out, "");
+    std::remove(path.c_str());
+}
+
 // ---- `sharp serve` artifacts: the campaign queue journal and the
 // ---- daemon state file get the same fixture treatment as the rest.
 

@@ -7,9 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <thread>
 #include <vector>
 
+#include "median_ci_spec.hh"
 #include "quantile_ci_spec.hh"
 #include "rng/sampler.hh"
 #include "stats/ci.hh"
@@ -131,6 +135,57 @@ TEST(MedianCi, TinySampleCoverageGrowsWithN)
     // is the requested level again.
     EXPECT_DOUBLE_EQ(
         medianCi({1.0, 2.0, 3.0, 4.0, 5.0, 6.0}, 0.95).level, 0.95);
+}
+
+TEST(MedianCi, TabledCoverageMatchesLogGammaSpec)
+{
+    // Every k for n <= 600, then the walks' k at a stride to 2e4;
+    // test_properties.cc strides on to 2e5.
+    std::vector<size_t> every_k, walked;
+    for (size_t n = 6; n <= 600; ++n)
+        every_k.push_back(n);
+    for (size_t n = 601; n < 20000; n += 97)
+        walked.push_back(n);
+    walked.push_back(20000);
+    sharp::test::MedianCoverageSweep sweep =
+        sharp::test::sweepMedianOrderCoverage(every_k, walked);
+    // sum of n/2 over every_k, then 7 k at each of 3 levels per n.
+    EXPECT_EQ(sweep.cases, 89994u + 21 * walked.size());
+    EXPECT_EQ(sweep.mismatches, 0u) << sweep.firstMismatch;
+    EXPECT_EQ(sweep.wrongK, 0u);
+}
+
+TEST(MedianCi, LogFactorialTableIsPerThread)
+{
+    // Two threads grow their own tables at the same time: one a step at
+    // a time, one to its largest n at its first call. A shared table
+    // would race (the tsan preset runs this) or hand a thread entries
+    // the other is still writing.
+    auto mismatches = [](const std::vector<size_t> &sizes) {
+        size_t bad = 0;
+        for (size_t n : sizes) {
+            size_t k = medianCiLowerK(n, 0.95);
+            for (size_t at : {k, k - 1}) {
+                double got = medianOrderCoverage(n, at);
+                double spec = sharp::test::medianOrderCoverageSpec(n, at);
+                bad += std::bit_cast<uint64_t>(got) !=
+                       std::bit_cast<uint64_t>(spec);
+            }
+        }
+        return bad;
+    };
+    std::vector<size_t> rising, falling;
+    for (size_t n = 40; n <= 3040; ++n)
+        rising.push_back(n);
+    for (size_t n = 6040; n >= 40; n -= 3)
+        falling.push_back(n);
+    size_t up = 1, down = 1;
+    std::thread grower([&] { up = mismatches(rising); });
+    std::thread jumper([&] { down = mismatches(falling); });
+    grower.join();
+    jumper.join();
+    EXPECT_EQ(up, 0u);
+    EXPECT_EQ(down, 0u);
 }
 
 TEST(GeometricMeanCi, BackTransformsLogInterval)

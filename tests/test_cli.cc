@@ -225,7 +225,7 @@ TEST(Cli, RunRejectsAFractionalRuleCountBeforeItsFirstRound)
     CliResult result = run({"run", "--workload", "bfs", "--rule", "fixed",
                             "--count", "2.5", "--journal",
                             journal.string(), "--out", base.string()});
-    EXPECT_EQ(result.status, 1) << result.out << result.err;
+    EXPECT_EQ(result.status, 2) << result.out << result.err;
     EXPECT_NE(result.err.find(
                   "parameter 'count' must be an integer in [0, 2^53]"),
               std::string::npos)
@@ -233,6 +233,55 @@ TEST(Cli, RunRejectsAFractionalRuleCountBeforeItsFirstRound)
     EXPECT_EQ(result.out.find("collected"), std::string::npos);
     EXPECT_FALSE(fs::exists(journal));
     EXPECT_FALSE(fs::exists(csv));
+}
+
+TEST(Cli, RuleFlagsTheRuleRejectsAreBadFlagValues)
+{
+    // A value the rule rejects exits 2 with `cmd: reason`, like a value
+    // that is not a number, on every command that builds a rule from
+    // flags; nothing runs.
+    const std::vector<std::vector<std::string>> commands = {
+        {"run", "--workload", "bfs", "--max", "20"},
+        {"suite", "--max", "20"},
+        {"micro", "alu-ops", "--max", "20"},
+    };
+    const std::vector<std::vector<std::string>> flags = {
+        {"--threshold", "-1"},
+        {"--rule", "fixed", "--count", "2.5"},
+        {"--rule", "no-such-rule"},
+    };
+    for (const auto &command : commands) {
+        for (const auto &rule : flags) {
+            // micro reads no --count, so its fixed rule would be valid.
+            if (command[0] == "micro" && rule[1] == "fixed")
+                continue;
+            std::vector<std::string> argv = command;
+            argv.insert(argv.end(), rule.begin(), rule.end());
+            CliResult result = run(argv);
+            EXPECT_EQ(result.status, 2) << command[0] << " " << rule.back();
+            EXPECT_EQ(result.err.rfind(command[0] + ": ", 0), 0u)
+                << result.err;
+            EXPECT_EQ(result.err.find("error:"), std::string::npos)
+                << result.err;
+            EXPECT_EQ(result.out, "") << result.out;
+        }
+    }
+    EXPECT_EQ(run({"run", "--workload", "bfs", "--threshold", "-1"}).err,
+              "run: KsHalvesRule requires threshold in (0, 1]\n");
+
+    // A spec file is not a flag: its bad rule parameters still exit 1
+    // with the check's located error.
+    fs::path spec = fs::temp_directory_path() / "sharp_cli_bad_rule.json";
+    {
+        std::ofstream out(spec);
+        out << R"({"backend": "sim", "workload": "bfs",
+ "experiment": {"rule": "ks", "params": {"threshold": -1}}})";
+    }
+    CliResult config = run({"run", "--config", spec.string()});
+    EXPECT_EQ(config.status, 1) << config.err;
+    EXPECT_NE(config.err.find(spec.string() + ":"), std::string::npos)
+        << config.err;
+    fs::remove(spec);
 }
 
 TEST(Cli, ReproduceWritesTheSameArtifactsAsRun)

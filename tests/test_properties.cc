@@ -16,6 +16,7 @@
 #include "core/sample_series.hh"
 #include "core/stats_cache.hh"
 #include "core/stopping/stopping_rule.hh"
+#include "median_ci_spec.hh"
 #include "quantile_ci_spec.hh"
 #include "rng/synthetic.hh"
 #include "sim/machine.hh"
@@ -314,6 +315,21 @@ TEST(QuantileCiIndices, BinarySearchMatchesPmfPrefixSumUpTo1e5)
     EXPECT_EQ(sweep.cases, 12 * sizes.size());
     EXPECT_EQ(sweep.mismatches, 0u) << sweep.firstMismatch;
     EXPECT_EQ(sweep.overEvalBound, 0u);
+}
+
+TEST(MedianCi, TabledCoverageMatchesLogGammaSpecUpTo2e5)
+{
+    // test_ci.cc checks every k to n = 600 and the walks' k to 2e4;
+    // past it, the walks' k at a stride to 2e5.
+    std::vector<size_t> walked;
+    for (size_t n = 20000; n < 200000; n += 997)
+        walked.push_back(n);
+    walked.push_back(200000);
+    test::MedianCoverageSweep sweep =
+        test::sweepMedianOrderCoverage({}, walked);
+    EXPECT_EQ(sweep.cases, 21 * walked.size());
+    EXPECT_EQ(sweep.mismatches, 0u) << sweep.firstMismatch;
+    EXPECT_EQ(sweep.wrongK, 0u);
 }
 
 TEST(SpeedupOfMedians, CountingWalkMatchesSortSpecUpTo1e4)

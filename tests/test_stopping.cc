@@ -8,6 +8,8 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <utility>
@@ -19,9 +21,11 @@
 #include "core/stopping/fixed_rule.hh"
 #include "core/stopping/ks_rule.hh"
 #include "core/stopping/stopping_rule.hh"
+#include "launcher/reproduce.hh"
 #include "rng/nonstationary.hh"
 #include "rng/sampler.hh"
 #include "rng/synthetic.hh"
+#include "stats/ci.hh"
 #include "stats/kde.hh"
 
 namespace
@@ -214,6 +218,77 @@ TEST(MedianCiRule, HandlesHeavyTailsWhereMeanCiStruggles)
     size_t runs = runsUntilStop(median_rule, sampler, gen, 10000);
     // The median CI converges fine for Cauchy.
     EXPECT_LT(runs, 3000u);
+}
+
+/** Where a campaign stopped, and its median CI there, as bits. */
+struct CampaignStop
+{
+    size_t rounds;
+    std::string reason;
+    uint64_t lower, upper, criterion;
+};
+
+CampaignStop
+runToStop(const sharp::launcher::ReproSpec &spec)
+{
+    sharp::launcher::LaunchReport report =
+        sharp::launcher::runCampaign(spec).report;
+    EXPECT_TRUE(report.ruleFired);
+    sharp::stats::ConfidenceInterval ci =
+        sharp::stats::medianCi(report.series.values(), 0.95);
+    return {report.series.size(), report.finalDecision.reason,
+            std::bit_cast<uint64_t>(ci.lower),
+            std::bit_cast<uint64_t>(ci.upper),
+            std::bit_cast<uint64_t>(report.finalDecision.criterion)};
+}
+
+TEST(MedianCiRule, LongCampaignStopsWhereTheParentStopped)
+{
+    // Two campaigns that stop by threshold well past the engine's
+    // 256-sample cutover, so every round from there on reads the warm
+    // coverage walk. The stop round, the reason and the final
+    // interval's bits were captured from the build whose walk called
+    // logGamma three times per PMF term; the log-factorial table must
+    // not move any of them.
+    sharp::launcher::ReproSpec sim;
+    sim.workload = "srad";
+    sim.machines = {"machine1"};
+    sim.seed = 3;
+    sim.experiment.ruleName = "median-ci";
+    sim.experiment.ruleParams = {{"threshold", 0.005}};
+    sim.experiment.options.maxSamples = 5000;
+    CampaignStop median = runToStop(sim);
+    EXPECT_EQ(median.rounds, 1288u);
+    EXPECT_EQ(median.reason, "median CI relative width 0.00498 < 0.005");
+    EXPECT_EQ(median.lower, std::bit_cast<uint64_t>(0x1.1478987089831p+3));
+    EXPECT_EQ(median.upper, std::bit_cast<uint64_t>(0x1.15da059d6b5cap+3));
+    EXPECT_EQ(median.criterion,
+              std::bit_cast<uint64_t>(0x1.46713681a654ep-8));
+
+    // A lognormal with sigma 1.5 and Cauchy bursts: meta classifies it
+    // heavy-tailed, and its median-ci delegate needs ~600 samples.
+    std::string path = ::testing::TempDir() + "sharp_heavy_tail_wide.json";
+    {
+        std::ofstream out(path);
+        out << R"({"schema": "sharp-scenario-v1",
+ "name": "heavy_tail_wide", "family": "heavy-tail-burst", "seed": "13",
+ "params": {"base": 10.0, "sigma": 1.5, "burst_every": 70,
+            "burst_len": 12, "tail_scale": 6.0}})";
+    }
+    sharp::launcher::ReproSpec scenario;
+    scenario.backendKind = "scenario";
+    scenario.scenario = path;
+    scenario.experiment.ruleName = "meta";
+    scenario.experiment.options.maxSamples = 5000;
+    CampaignStop meta = runToStop(scenario);
+    std::remove(path.c_str());
+    EXPECT_EQ(meta.rounds, 583u);
+    EXPECT_EQ(meta.reason, "[heavytail -> median-ci] median CI relative "
+                           "width 0.03264 < 0.033");
+    EXPECT_EQ(meta.lower, std::bit_cast<uint64_t>(0x1.39c652474771ap+3));
+    EXPECT_EQ(meta.upper, std::bit_cast<uint64_t>(0x1.442fc6bd51711p+3));
+    EXPECT_EQ(meta.criterion,
+              std::bit_cast<uint64_t>(0x1.0b65b3804fdfcp-5));
 }
 
 TEST(UniformRangeRule, StopsWhenRangeSaturates)
