@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
+#include <sstream>
 #include <stdexcept>
 
 #include "core/classifier.hh"
@@ -17,6 +18,7 @@
 #include "stats/descriptive.hh"
 #include "stats/ecdf.hh"
 #include "util/string_utils.hh"
+#include "util/table.hh"
 #include "util/thread_pool.hh"
 
 namespace sharp
@@ -431,6 +433,41 @@ CalibrationResult::summaryJson() const
         root.set("meta_vs_fixed", versus);
     }
     return root;
+}
+
+std::string
+renderSummary(const json::Value &summary, size_t cells)
+{
+    util::TextTable table({"rule", "distribution", "median runs",
+                           "median KS", "fired"});
+    for (const auto &[rule, dists] : summary.at("rules").members()) {
+        for (const auto &[dist, entry] : dists.members()) {
+            table.addRow(
+                {rule, dist,
+                 util::formatDouble(
+                     entry.getNumber("median_samples", 0.0), 1),
+                 util::formatDouble(entry.getNumber("median_ks", 0.0),
+                                    4),
+                 util::formatDouble(
+                     entry.getNumber("fired_fraction", 0.0) * 100.0,
+                     0) +
+                     "%"});
+        }
+    }
+    std::ostringstream out;
+    out << table.render();
+    out << "classifier accuracy: "
+        << util::formatDouble(
+               summary.at("classifier").getNumber("accuracy", 0.0) *
+                   100.0,
+               1)
+        << "% over " << cells << " cells\n";
+    if (const json::Value *versus = summary.find("meta_vs_fixed")) {
+        out << "meta vs fixed: " << versus->getNumber("wins", 0.0)
+            << "/" << versus->getNumber("distributions", 0.0)
+            << " distributions won\n";
+    }
+    return out.str();
 }
 
 } // namespace calibrate

@@ -139,6 +139,13 @@ struct CalibrationResult
 };
 
 /**
+ * The console view of @p summary (a summaryJson() of @p cells cells):
+ * per-rule medians over the swept distributions, the classifier's
+ * accuracy, and the meta-versus-fixed wins when the summary has them.
+ */
+std::string renderSummary(const json::Value &summary, size_t cells);
+
+/**
  * Derive the generator seed for one cell. SplitMix64-chained over the
  * base seed, the *names* of the rule and distribution (FNV-1a hashed),
  * and the repetition index: neighboring cells get unrelated streams, a

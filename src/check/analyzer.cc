@@ -17,6 +17,7 @@
 #include "serve/state.hh"
 #include "simd/dispatch.hh"
 #include "sim/scenario.hh"
+#include "util/fs.hh"
 #include "util/string_utils.hh"
 #include "workflow/workflow_parser.hh"
 
@@ -434,6 +435,35 @@ checkArtifactFile(const std::string &path, CheckResult &out)
     buffer << in.rdbuf();
     return checkArtifactText(path, buffer.str(), ArtifactKind::Unknown,
                              out);
+}
+
+std::vector<std::string>
+expandArtifactPaths(const std::vector<std::string> &paths,
+                    size_t &skipped)
+{
+    std::vector<std::string> files;
+    for (const auto &path : paths) {
+        if (!util::isDirectory(path)) {
+            files.push_back(path);
+            continue;
+        }
+        for (const auto &name : util::listDirectory(path)) {
+            std::string full = path;
+            if (!full.empty() && full.back() != '/')
+                full += '/';
+            full += name;
+            if (util::isDirectory(full))
+                continue;
+            if (util::endsWith(name, ".json") ||
+                util::endsWith(name, ".jsonl") ||
+                util::endsWith(name, ".md")) {
+                files.push_back(std::move(full));
+            } else {
+                ++skipped;
+            }
+        }
+    }
+    return files;
 }
 
 } // namespace check

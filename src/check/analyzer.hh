@@ -20,6 +20,7 @@
 #define SHARP_CHECK_ANALYZER_HH
 
 #include <string>
+#include <vector>
 
 #include "check/diagnostic.hh"
 #include "json/value.hh"
@@ -102,6 +103,16 @@ ArtifactKind checkArtifactText(const std::string &path,
  */
 ArtifactKind checkArtifactFile(const std::string &path,
                                CheckResult &out);
+
+/**
+ * The artifact files @p paths name, for `sharp check`. A directory
+ * expands to its .json, .jsonl and .md entries, non-recursively and in
+ * sorted order, so whole libraries need no file list; @p skipped
+ * counts its other files.
+ */
+std::vector<std::string>
+expandArtifactPaths(const std::vector<std::string> &paths,
+                    size_t &skipped);
 
 } // namespace check
 } // namespace sharp

@@ -265,7 +265,7 @@ editDistance(const std::string &a, const std::string &b)
 } // anonymous namespace
 
 std::string
-suggestName(const std::string &name,
+closestName(const std::string &name,
             const std::vector<std::string> &known)
 {
     const std::string *best = nullptr;
@@ -277,9 +277,15 @@ suggestName(const std::string &name,
             best = &candidate;
         }
     }
-    if (!best)
-        return "";
-    return "did you mean '" + *best + "'?";
+    return best ? *best : "";
+}
+
+std::string
+suggestName(const std::string &name,
+            const std::vector<std::string> &known)
+{
+    std::string best = closestName(name, known);
+    return best.empty() ? "" : "did you mean '" + best + "'?";
 }
 
 void

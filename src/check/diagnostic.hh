@@ -176,9 +176,13 @@ class CheckFailure : public std::invalid_argument
 void throwIfErrors(CheckResult result);
 
 /**
- * A "did you mean 'X'?" hint when @p name is plausibly a typo for one
- * of @p known (small edit distance); empty otherwise.
+ * The entry of @p known that @p name is plausibly a typo for (within
+ * two edits; the closest, first on a tie); empty when there is none.
  */
+std::string closestName(const std::string &name,
+                        const std::vector<std::string> &known);
+
+/** A "did you mean 'X'?" hint naming closestName(); empty without one. */
 std::string suggestName(const std::string &name,
                         const std::vector<std::string> &known);
 

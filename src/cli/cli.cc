@@ -1,15 +1,11 @@
 #include "cli/cli.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <csignal>
-#include <cstdint>
 #include <initializer_list>
-#include <limits>
 #include <memory>
 #include <optional>
-#include <stdexcept>
-
-#include <sys/stat.h>
 
 #include "calibrate/baseline.hh"
 #include "calibrate/calibration.hh"
@@ -57,256 +53,163 @@ namespace sharp
 namespace cli
 {
 
-std::string
-ParsedArgs::get(const std::string &key, const std::string &fallback) const
-{
-    auto it = flags.find(key);
-    return it != flags.end() ? it->second : fallback;
-}
-
-bool
-ParsedArgs::has(const std::string &key) const
-{
-    return flags.count(key) > 0;
-}
-
-ParsedArgs
-parseArgs(const std::vector<std::string> &argv)
-{
-    ParsedArgs parsed;
-    size_t i = 0;
-    if (!argv.empty() && !util::startsWith(argv[0], "--")) {
-        parsed.command = argv[0];
-        i = 1;
-    }
-    while (i < argv.size()) {
-        const std::string &token = argv[i];
-        if (util::startsWith(token, "--")) {
-            std::string key = token.substr(2);
-            if (key.empty())
-                throw std::invalid_argument("empty flag name");
-            // A value follows unless the next token is another flag or
-            // the end of the line.
-            if (i + 1 < argv.size() &&
-                !util::startsWith(argv[i + 1], "--")) {
-                parsed.flags[key] = argv[i + 1];
-                i += 2;
-            } else {
-                parsed.flags[key] = "";
-                ++i;
-            }
-        } else {
-            parsed.positional.push_back(token);
-            ++i;
-        }
-    }
-    return parsed;
-}
-
 namespace
 {
 
-const char *const usageText = R"(usage: sharp <command> [options]
-
-commands:
-  list                         show benchmarks, machines, stopping rules
-  run                          run one experiment on the simulated testbed
-      --config FILE.json       full run spec from a JSON file, or:
-      --scenario FILE.json     scenario-library workload (nonstationary
-                               family or recorded-trace replay), or:
-      --workload NAME          Rodinia benchmark (required)
-      --machine ID             machine1|machine2|machine3 (default machine1)
-      --rule NAME              stopping rule (default ks)
-      --threshold X            rule threshold
-      --max N                  sample cap (default 2000)
-      --day D --seed S         environment controls
-      --concurrency C          parallel instances per round
-      --jobs N                 execution-layer worker threads (default 1;
-                               recorded in metadata for reproduction)
-      --retries N              retry failed runs up to N times each
-      --retry-backoff S        base retry delay in seconds (doubles per
-                               retry, deterministic seeded jitter)
-      --max-failures N         abort after exactly N failed runs
-      --max-failure-rate X     abort when the failed fraction exceeds X
-      --fault FILE.json        wrap the backend in the seeded
-                               fault-injection schedule from FILE
-      --journal FILE           append every completed round to FILE
-                               (fsync'd; enables --resume after a crash)
-      --resume PATH            resume a killed campaign from its journal
-                               (file, or a directory holding
-                               journal.jsonl); finishes with the same
-                               samples the uninterrupted run collects
-      --out BASE               write BASE.csv + BASE.md
-      --html FILE              write an HTML report
-  reproduce FILE.md            re-run an experiment from its metadata
-  suite                        run the Rodinia grid on one machine
-      --machine ID --rule NAME --threshold X --max N --seed S
-      --scenarios DIR          run every scenario file in DIR instead
-                               of the Rodinia grid
-      --retries N              retry failed runs inside every entry
-      --jobs N                 run suite entries in parallel (results
-                               are identical for any N)
-  micro [PROBE]                list or run microbenchmark probes
-      --rule NAME --threshold X --max N --jobs N
-  report FILE.csv              analyze a recorded run
-      --metric NAME            column to analyze (default execution_time)
-      --workload NAME          filter rows by workload
-      --html FILE              write an HTML report
-  compare A.csv B.csv          compare two recorded runs
-      --metric NAME --html FILE
-  baseline capture RUNS...     distill recorded runs (tidy CSVs or
-                               .jsonl journals) into a baseline bundle
-                               for `compare --against`; byte-identical
-                               for any --jobs
-      --out PATH               bundle file (.json) or directory (required)
-      --metric NAME            metric column (default execution_time)
-      --group-by COL           scenario key column (default workload)
-      --jobs N                 parse inputs in parallel
-  compare RUNS... --against B  gate candidate runs against a baseline
-                               bundle: per-scenario KS distance,
-                               quantile shifts, bootstrap speedup CI
-                               (a median regression only fails when the
-                               whole CI confirms it), and a %CV
-                               reproducibility verdict
-      --format text|json       report format (default text)
-      --out FILE               also write the JSON report to FILE
-      --median-ratio X         median may grow to baseline*X (+ slack)
-      --median-slack X         additive slack in metric units
-      --ks-limit X --cv-limit X
-      --level X --resamples N --seed S
-      (exit: 0 no regression, 1 investigate, 2 usage/artifact error)
-  gate BASE.csv CAND.csv       regression gate between two runs
-      --slowdown X --ks X --alpha X [--larger-is-better]
-  calibrate                    sweep stopping rules over the synthetic
-                               tuning distributions (paper §IV-c)
-      --seed S                 base seed (default 1)
-      --seeds K                repetitions per cell (default 9)
-      --max N                  sample cap per cell (default 800)
-      --truth N                ground-truth sample size (default 8192)
-      --jobs N                 worker threads (output identical for any N)
-      --rules a,b,c            subset of rules (default: all registered)
-      --distributions x,y      subset of the tuning set (default: the
-                               ten synthetics + five nonstationary
-                               scenario families)
-      --scenarios DIR          add DIR's generator scenarios to the
-                               sweep (trace scenarios are skipped)
-      --out BASE               write BASE.csv and BASE.json
-      --write-baseline FILE    write the summary JSON as a new baseline
-      --baseline FILE          compare against a baseline; exit 1 on fail
-      --timings                add a wall_ms CSV column (not byte-stable)
-  workflow SPEC.json           translate a serverless workflow
-      --makefile FILE          write the Makefile
-      --execute                run the DAG natively
-  check PATH...                statically validate artifacts without
-                               running anything: run/fault/retry specs,
-                               experiment configs, workflows, journals,
-                               calibration baselines, scenarios,
-                               metadata, queue journals, daemon state;
-                               a directory expands to its
-                               .json/.jsonl/.md entries (non-recursive;
-                               other files fold into one note)
-      --campaign DIR           audit a `sharp serve` state directory
-                               as a whole: every artifact deep-checked
-                               plus cross-artifact lints (queue vs run
-                               journals vs results vs metadata vs
-                               daemon config)
-      --format text|json       diagnostic output format (default text)
-      (exit: 0 clean, 1 warnings only, 2 errors)
-  serve                        run the campaign daemon: accept run
-                               specs over a unix socket, execute them
-                               on supervised worker shards with
-                               heartbeat/deadline watchdog, journal
-                               every transition (crash-safe, resumable)
-      --socket PATH            unix socket to listen on (required)
-      --state-dir DIR          queue journal, daemon state, campaign
-                               results (required; restart on the same
-                               directory resumes everything)
-      --shards N               concurrent worker shards (default 2)
-      --max-queued N           per-tenant cap on queued + running
-                               campaigns (default 8)
-      --round-deadline S       seconds without a heartbeat before the
-                               watchdog kills a shard (default 60)
-      --max-failovers N        failovers per campaign before it fails
-                               terminally (default 3)
-      (SIGTERM drains gracefully and exits 130; campaigns resume
-      byte-identically on restart)
-  client OP [ARG]              talk to a running daemon
-      --socket PATH            daemon socket (required)
-      submit SPEC.json         submit a run spec [--tenant NAME]
-      status [ID]              one campaign, or all + draining flag
-      results ID               result paths + CSV of a done campaign
-      cancel ID                cancel a queued or running campaign
-      drain                    ask the daemon to drain and exit
-      ping                     daemon liveness + pid
-      wait ID                  poll until ID reaches a terminal state
-                               [--timeout S, default 300]
-      (exit: 0 ok, 1 retryable rejection or unreachable daemon,
-      2 non-retryable rejection)
-  help                         this text
-
-exit codes: 0 ok, 1 error (compare --against: regression to
-            investigate; check: warnings only), 2 usage or malformed
-            artifact, 3 aborted by the failure policy, 130 interrupted
-            (campaign resumable with run --resume)
-)";
-
-/**
- * Parse the unsigned integer flag --@p key (>= @p minimum) into
- * @p target. Returns false (and reports) on bad input; leaves
- * @p target untouched when the flag is absent.
- */
-template <typename T>
-bool
-parseCount(const ParsedArgs &args, std::ostream &err, const char *cmd,
-           const char *key, uint64_t minimum, T &target)
+/** The flag --@p key of @p form; nullptr when it reads none. */
+const Flag *
+findFlag(const Form &form, const std::string &key)
 {
-    std::string value = args.get(key);
-    if (value.empty())
-        return true;
-    auto parsed = util::parseUint64(value);
-    if (!parsed || *parsed < minimum ||
-        *parsed > static_cast<uint64_t>(std::numeric_limits<T>::max())) {
-        err << cmd << ": --" << key << " must be an integer >= "
-            << minimum << "\n";
-        return false;
+    for (const Flag &flag : form.flags) {
+        if (key == flag.name)
+            return &flag;
     }
-    target = static_cast<T>(*parsed);
-    return true;
+    return nullptr;
+}
+
+/** True when @p value lies outside @p range. */
+bool
+outside(Range range, double value)
+{
+    if (range == Range::NonNegative)
+        return value < 0.0;
+    if (range == Range::Positive)
+        return value <= 0.0;
+    if (range == Range::Fraction)
+        return value <= 0.0 || value > 1.0;
+    return false;
+}
+
+/** Throw a UsageError for a flag value that does not fit its kind. */
+void
+checkValues(const ParsedArgs &args, const Form &form)
+{
+    static const char *const ranges[] = {"a number", "a number >= 0",
+                                         "a number > 0", "in (0, 1]"};
+    for (const auto &[key, value] : args.flags) {
+        const Flag *flag = findFlag(form, key);
+        if (!flag) // --help
+            continue;
+        std::string wanted;
+        if (flag->kind == FlagKind::Count) {
+            auto parsed = util::parseUint64(value);
+            if (!parsed || *parsed < flag->least)
+                wanted = "an integer >= " + std::to_string(flag->least);
+        } else if (flag->kind == FlagKind::Number) {
+            auto parsed = util::parseDouble(value);
+            if (!parsed || outside(flag->range, *parsed))
+                wanted = ranges[static_cast<size_t>(flag->range)];
+        } else if (flag->kind == FlagKind::Choice) {
+            std::vector<std::string> options = util::split(flag->value, '|');
+            if (std::find(options.begin(), options.end(), value) ==
+                options.end())
+                wanted = util::replaceAll(flag->value, "|", " or ");
+        }
+        if (!wanted.empty())
+            throw UsageError("--" + key + " must be " + wanted);
+    }
+}
+
+/** How @p form is called, e.g. `run --config FILE.json`. */
+std::string
+synopsis(const Form &form)
+{
+    std::string line = form.command;
+    if (*form.operands)
+        line += std::string(" ") + form.operands;
+    if (*form.selector) {
+        line += std::string(" --") + form.selector + " " +
+                findFlag(form, form.selector)->value;
+    }
+    return line;
+}
+
+/** Write @p label, then @p text from column 31 on. */
+void
+helpRow(std::ostream &out, std::string label, const char *text)
+{
+    const std::string indent(31, ' ');
+    if (label.size() < indent.size())
+        label.resize(indent.size(), ' ');
+    else
+        label += "\n" + indent;
+    out << label << util::replaceAll(text, "\n", "\n" + indent) << "\n";
+}
+
+/** `sharp help`, or @p command's forms alone; "" for no such command. */
+std::string
+usage(const std::string &command)
+{
+    std::ostringstream text;
+    size_t shown = 0;
+    if (command.empty()) {
+        text << "usage: sharp <command> [options]\n"
+                "       sharp <command> --help\n\ncommands:\n";
+    }
+    for (const Form &form : forms()) {
+        if (!command.empty() && command != form.command)
+            continue;
+        ++shown;
+        helpRow(text, "  " + synopsis(form), form.summary);
+        for (const Flag &flag : form.flags) {
+            std::string name = std::string("      --") + flag.name;
+            if (flag.kind != FlagKind::Switch)
+                name += std::string(" ") + flag.value;
+            if (flag.name != std::string(form.selector))
+                helpRow(text, name, flag.help);
+        }
+    }
+    text << "\nexit codes: 0 ok, 1 error (compare --against: regression to\n"
+            "            investigate; check: warnings only), 2 usage or "
+            "malformed\n"
+            "            artifact, 3 aborted by the failure policy, 130 "
+            "interrupted\n"
+            "            (campaign resumable with run --resume)\n";
+    return shown > 0 ? text.str() : "";
 }
 
 /**
- * Read the rule flags @p keys into @p config and build its rule, so a
- * rule name or parameter the rule rejects is a bad flag value like a
- * non-number. Returns false (and reports) on bad input.
+ * The first @p taken stopping-rule flags: run reads them all, suite
+ * the first five and micro the first two.
  */
-bool
-parseRuleFlags(const ParsedArgs &args, std::ostream &err, const char *cmd,
-               std::initializer_list<const char *> keys,
-               core::ExperimentConfig &config)
+std::vector<Flag>
+ruleFlags(size_t taken = SIZE_MAX)
+{
+    using enum FlagKind;
+    static const std::vector<Flag> flags = {
+        {"rule", Text, "NAME", "stopping rule (default ks; see `list`)"},
+        {"threshold", Number, "X", "rule threshold"},
+        {"level", Number, "X", "rule confidence level"},
+        {"count", Number, "N", "samples the fixed rule takes"},
+        {"min", Number, "N", "samples before the rule may stop"},
+        {"quantile", Number, "X", "the tail-quantile rule's quantile"},
+        {"prominence", Number, "X", "the modality rule's peak prominence"},
+    };
+    return {flags.begin(), flags.begin() + std::min(taken, flags.size())};
+}
+
+/**
+ * Read the rule flags into @p config and build its rule, so a rule
+ * name or parameter the rule rejects is a bad flag value like a
+ * non-number.
+ */
+void
+readRuleFlags(const ParsedArgs &args, core::ExperimentConfig &config)
 {
     config.ruleName = args.get("rule", "ks");
-    for (const char *key : keys) {
-        std::string value = args.get(key);
-        if (value.empty())
-            continue;
-        auto parsed = util::parseDouble(value);
-        if (!parsed) {
-            err << cmd << ": --" << key << " must be a number\n";
-            return false;
-        }
-        config.ruleParams[key] = *parsed;
+    for (const Flag &flag : ruleFlags()) {
+        if (flag.kind == FlagKind::Number && args.has(flag.name))
+            args.number(flag.name, config.ruleParams[flag.name]);
     }
     try {
         config.makeRule();
     } catch (const std::exception &problem) {
-        err << cmd << ": " << problem.what() << "\n";
-        return false;
+        throw UsageError(problem.what());
     }
-    return true;
 }
 
 int
-cmdList(std::ostream &out)
+cmdList(const ParsedArgs &, std::ostream &out, std::ostream &)
 {
     out << "Benchmarks (Rodinia models):\n";
     util::TextTable benchmarks({"name", "kind", "modes", "base (s)"});
@@ -335,6 +238,13 @@ cmdList(std::ostream &out)
          core::StoppingRuleFactory::instance().names()) {
         out << "  " << name << "\n";
     }
+    return 0;
+}
+
+int
+cmdHelp(const ParsedArgs &, std::ostream &out, std::ostream &)
+{
+    out << usage("");
     return 0;
 }
 
@@ -377,19 +287,9 @@ class InterruptGuard
     struct sigaction previousTerm = {};
 };
 
-/** --resume accepts the journal file or the directory holding it. */
-std::string
-resolveJournalPath(const std::string &path)
-{
-    struct stat st = {};
-    if (stat(path.c_str(), &st) == 0 && S_ISDIR(st.st_mode))
-        return path + "/journal.jsonl";
-    return path;
-}
-
 /**
- * Load the JSON spec file at @p path with @p load. A file that is not
- * JSON, or a spec that fails its check, is reported on @p err as
+ * Load the JSON file at @p path with @p load. A file that is missing
+ * or not JSON, or that fails its check, is reported on @p err as
  * `sharp check` reports it, at its file, line and column, and yields
  * nothing.
  */
@@ -401,7 +301,14 @@ loadSpecFile(const std::string &path, Spec (*load)(const json::Value &),
     check::CheckResult located;
     located.setArtifact(path);
     try {
-        return load(json::parseFile(path));
+        std::ifstream in(path, std::ios::binary);
+        if (!in) {
+            located.error("io-error", "cannot read '" + path + "'");
+        } else {
+            std::ostringstream text;
+            text << in.rdbuf();
+            return load(json::parse(text.str()));
+        }
     } catch (const json::ParseError &problem) {
         located.syntaxError(problem);
     } catch (const check::CheckFailure &failure) {
@@ -411,52 +318,6 @@ loadSpecFile(const std::string &path, Spec (*load)(const json::Value &),
     }
     err << located.renderText();
     return std::nullopt;
-}
-
-/**
- * Fold the fault-tolerance flags into @p spec (on top of whatever the
- * config file set). Returns 0, or the exit code after reporting bad
- * input: 2 for a bad flag value, 1 for a fault spec that fails its
- * check.
- */
-int
-applyFaultToleranceFlags(const ParsedArgs &args, std::ostream &err,
-                         launcher::ReproSpec &spec)
-{
-    size_t retries = spec.retry.maxAttempts - 1;
-    if (!parseCount(args, err, "run", "retries", 0, retries) ||
-        !parseCount(args, err, "run", "max-failures", 0,
-                    spec.maxFailures))
-        return 2;
-    spec.retry.maxAttempts = retries + 1;
-    std::string backoff = args.get("retry-backoff");
-    if (!backoff.empty()) {
-        auto parsed = util::parseDouble(backoff);
-        if (!parsed || *parsed < 0.0) {
-            err << "run: --retry-backoff must be a number >= 0\n";
-            return 2;
-        }
-        spec.retry.backoffBaseSeconds = *parsed;
-    }
-    std::string rate = args.get("max-failure-rate");
-    if (!rate.empty()) {
-        auto parsed = util::parseDouble(rate);
-        if (!parsed || *parsed <= 0.0 || *parsed > 1.0) {
-            err << "run: --max-failure-rate must be in (0, 1]\n";
-            return 2;
-        }
-        spec.maxFailureRate = *parsed;
-    }
-    std::string fault = args.get("fault");
-    if (!fault.empty()) {
-        std::optional<launcher::FaultSpec> loaded =
-            loadSpecFile(fault, &launcher::FaultSpec::fromJson, err);
-        if (!loaded)
-            return 1;
-        spec.fault = *loaded;
-        spec.faultEnabled = true;
-    }
-    return 0;
 }
 
 /**
@@ -523,52 +384,45 @@ executeRun(const launcher::ReproSpec &spec, launcher::CampaignIo io,
     return 0;
 }
 
+/**
+ * Fold the campaign flags into @p spec, over what its spec file set,
+ * and run it. A --fault file that fails its check is reported and
+ * exits 1.
+ */
+int
+runWithCampaignFlags(launcher::ReproSpec spec, const ParsedArgs &args,
+                     std::ostream &out, std::ostream &err,
+                     const std::string &label)
+{
+    args.count("jobs", spec.jobs);
+    size_t retries = spec.retry.maxAttempts - 1;
+    args.count("retries", retries);
+    spec.retry.maxAttempts = retries + 1;
+    args.count("max-failures", spec.maxFailures);
+    args.number("retry-backoff", spec.retry.backoffBaseSeconds);
+    args.number("max-failure-rate", spec.maxFailureRate);
+    std::string fault = args.get("fault");
+    if (!fault.empty()) {
+        std::optional<launcher::FaultSpec> loaded =
+            loadSpecFile(fault, &launcher::FaultSpec::fromJson, err);
+        if (!loaded)
+            return 1;
+        spec.fault = *loaded;
+        spec.faultEnabled = true;
+    }
+    launcher::CampaignIo io;
+    io.journalPath = args.get("journal");
+    return executeRun(spec, io, args, out, err, label);
+}
+
 int
 cmdRun(const ParsedArgs &args, std::ostream &out, std::ostream &err)
 {
-    // Resume path: everything comes from the journal's spec header.
-    launcher::CampaignIo io;
-    std::string resume_flag = args.get("resume");
-    if (!resume_flag.empty()) {
-        io.journalPath = resolveJournalPath(resume_flag);
-        io.journalMode = record::JournalMode::Resume;
-        return executeRun({}, io, args, out, err, "");
-    }
-    if (args.has("journal")) {
-        io.journalPath = args.get("journal");
-        if (io.journalPath.empty()) {
-            std::string base = args.get("out");
-            if (base.empty()) {
-                err << "run: --journal needs a path (or --out to "
-                       "derive one from)\n";
-                return 2;
-            }
-            io.journalPath = base + ".journal.jsonl";
-        }
-    }
-
-    // A JSON config file describes the entire run; command-line flags
-    // below are the quick path.
-    std::string config_path = args.get("config");
-    if (!config_path.empty()) {
-        std::optional<launcher::ReproSpec> loaded = loadSpecFile(
-            config_path, &launcher::ReproSpec::fromJson, err);
-        if (!loaded)
-            return 1;
-        launcher::ReproSpec &spec = *loaded;
-        if (!parseCount(args, err, "run", "jobs", 1, spec.jobs))
-            return 2;
-        if (int status = applyFaultToleranceFlags(args, err, spec))
-            return status;
-        return executeRun(spec, io, args, out, err, spec.workload);
-    }
-
     std::string workload = args.get("workload");
     std::string scenario_path = args.get("scenario");
     if (workload.empty() && scenario_path.empty()) {
-        err << "run: --workload or --scenario is required (see "
-               "`sharp list`)\n";
-        return 2;
+        throw UsageError("--workload or --scenario is required (see "
+                         "`sharp list`)");
     }
     std::string machine_id = args.get("machine", "machine1");
 
@@ -582,37 +436,47 @@ cmdRun(const ParsedArgs &args, std::ostream &out, std::ostream &err)
         spec.machines = {machine_id};
     }
     spec.experiment.options.maxSamples = 2000;
-    // parseRuleFlags builds the rule, so a rejected one exits before a
+    // readRuleFlags builds the rule, so a rejected one exits before a
     // journal opens.
-    if (!parseRuleFlags(args, err, "run",
-                        {"threshold", "level", "count", "min", "quantile",
-                         "prominence"},
-                        spec.experiment) ||
-        !parseCount(args, err, "run", "day", 0, spec.day) ||
-        !parseCount(args, err, "run", "seed", 0, spec.seed) ||
-        !parseCount(args, err, "run", "concurrency", 1,
-                    spec.concurrency) ||
-        !parseCount(args, err, "run", "jobs", 1, spec.jobs) ||
-        !parseCount(args, err, "run", "max", 2,
-                    spec.experiment.options.maxSamples))
-        return 2;
-    if (int status = applyFaultToleranceFlags(args, err, spec))
-        return status;
-
+    readRuleFlags(args, spec.experiment);
+    args.count("day", spec.day);
+    args.count("seed", spec.seed);
+    args.count("concurrency", spec.concurrency);
+    args.count("max", spec.experiment.options.maxSamples);
     std::string label = scenario_path.empty() ?
                             workload + " @ " + machine_id :
                             scenario_path;
-    return executeRun(spec, io, args, out, err, label);
+    return runWithCampaignFlags(spec, args, out, err, label);
+}
+
+/** `sharp run --config`: a JSON spec file describes the entire run. */
+int
+cmdRunConfig(const ParsedArgs &args, std::ostream &out, std::ostream &err)
+{
+    std::optional<launcher::ReproSpec> spec = loadSpecFile(
+        args.get("config"), &launcher::ReproSpec::fromJson, err);
+    if (!spec)
+        return 1;
+    return runWithCampaignFlags(*spec, args, out, err, spec->workload);
+}
+
+/** `sharp run --resume`: everything comes from the journal's spec. */
+int
+cmdRunResume(const ParsedArgs &args, std::ostream &out, std::ostream &err)
+{
+    // --resume takes the journal file or the directory holding it.
+    std::string journal = args.get("resume");
+    launcher::CampaignIo io;
+    io.journalPath = util::isDirectory(journal) ? journal + "/journal.jsonl"
+                                                : journal;
+    io.journalMode = record::JournalMode::Resume;
+    return executeRun({}, io, args, out, err, "");
 }
 
 int
 cmdReproduce(const ParsedArgs &args, std::ostream &out,
              std::ostream &err)
 {
-    if (args.positional.empty()) {
-        err << "reproduce: a metadata file is required\n";
-        return 2;
-    }
     record::MetadataDocument doc =
         record::MetadataDocument::load(args.positional[0]);
     // Decisions are bitwise backend-invariant by the simd kernel
@@ -665,10 +529,6 @@ loadMetric(const std::string &path, const ParsedArgs &args)
 int
 cmdReport(const ParsedArgs &args, std::ostream &out, std::ostream &err)
 {
-    if (args.positional.empty()) {
-        err << "report: a CSV file is required\n";
-        return 2;
-    }
     auto values = loadMetric(args.positional[0], args);
     if (values.size() < 2) {
         err << "report: fewer than 2 usable values in '"
@@ -696,29 +556,17 @@ cmdReport(const ParsedArgs &args, std::ostream &out, std::ostream &err)
 int
 cmdBaseline(const ParsedArgs &args, std::ostream &out, std::ostream &err)
 {
-    if (args.positional.empty() || args.positional[0] != "capture") {
-        err << "baseline: expected `sharp baseline capture <runs...> "
-               "--out PATH`\n";
-        return 2;
-    }
+    if (args.positional[0] != "capture")
+        throw UsageError("expected `sharp baseline capture RUNS...`");
     std::vector<std::string> inputs(args.positional.begin() + 1,
                                     args.positional.end());
-    if (inputs.empty()) {
-        err << "baseline capture: at least one recorded run (CSV or "
-               ".jsonl journal) is required\n";
-        return 2;
-    }
     std::string out_path = args.get("out");
-    if (out_path.empty()) {
-        err << "baseline capture: --out PATH is required\n";
-        return 2;
-    }
+    if (out_path.empty())
+        throw UsageError("--out PATH is required");
     compare::CaptureOptions options;
     options.metric = args.get("metric", options.metric);
     options.groupBy = args.get("group-by", options.groupBy);
-    if (!parseCount(args, err, "baseline capture", "jobs", 1,
-                    options.jobs))
-        return 2;
+    args.count("jobs", options.jobs);
 
     try {
         compare::BaselineBundle bundle =
@@ -741,7 +589,7 @@ cmdBaseline(const ParsedArgs &args, std::ostream &out, std::ostream &err)
 }
 
 /**
- * The `--against` arm of `sharp compare`: capture the candidate runs
+ * The `--against` form of `sharp compare`: capture the candidate runs
  * with the baseline bundle's own metric/grouping, compare, render.
  * Exit contract: 0 no regression, 1 investigate, 2 usage or artifact
  * error — artifact problems are caught here (not left to runCli's
@@ -752,55 +600,26 @@ int
 cmdCompareAgainst(const ParsedArgs &args, std::ostream &out,
                   std::ostream &err)
 {
-    if (args.positional.empty()) {
-        err << "compare: candidate run files are required with "
-               "--against\n";
-        return 2;
-    }
     std::string format = args.get("format", "text");
-    if (format != "text" && format != "json") {
-        err << "compare: unknown --format '" << format
-            << "' (expected text or json)\n";
-        return 2;
-    }
-
     compare::CompareTolerances tolerances;
-    auto parse_flag = [&](const char *key, double &target) {
-        std::string value = args.get(key);
-        if (value.empty())
-            return true;
-        auto parsed = util::parseDouble(value);
-        if (!parsed) {
-            err << "compare: --" << key << " must be a number\n";
-            return false;
-        }
-        target = *parsed;
-        return true;
-    };
-    if (!parse_flag("median-ratio", tolerances.medianRatio) ||
-        !parse_flag("median-slack", tolerances.medianSlack) ||
-        !parse_flag("ks-limit", tolerances.ksLimit) ||
-        !parse_flag("cv-limit", tolerances.cvLimit) ||
-        !parse_flag("level", tolerances.level)) {
-        return 2;
-    }
-    if (!parseCount(args, err, "compare", "resamples", 0,
-                    tolerances.resamples) ||
-        !parseCount(args, err, "compare", "seed", 0, tolerances.seed)) {
-        return 2;
-    }
+    args.number("median-ratio", tolerances.medianRatio);
+    args.number("median-slack", tolerances.medianSlack);
+    args.number("ks-limit", tolerances.ksLimit);
+    args.number("cv-limit", tolerances.cvLimit);
+    args.number("level", tolerances.level);
+    args.count("resamples", tolerances.resamples);
+    args.count("seed", tolerances.seed);
+    compare::CaptureOptions capture;
+    args.count("jobs", capture.jobs);
 
     try {
         compare::BaselineBundle baseline =
             compare::loadBundle(args.get("against"));
-        compare::CaptureOptions capture;
         // The bundle dictates the comparison currency; --metric only
         // overrides it explicitly (and a mismatch is then an error).
         capture.metric = args.get("metric", baseline.metric);
         if (!baseline.groupBy.empty())
             capture.groupBy = baseline.groupBy;
-        if (!parseCount(args, err, "compare", "jobs", 1, capture.jobs))
-            return 2;
         compare::BaselineBundle candidate =
             compare::captureBaseline(args.positional, capture);
 
@@ -826,12 +645,6 @@ cmdCompareAgainst(const ParsedArgs &args, std::ostream &out,
 int
 cmdCompare(const ParsedArgs &args, std::ostream &out, std::ostream &err)
 {
-    if (args.has("against"))
-        return cmdCompareAgainst(args, out, err);
-    if (args.positional.size() < 2) {
-        err << "compare: two CSV files are required\n";
-        return 2;
-    }
     auto a = loadMetric(args.positional[0], args);
     auto b = loadMetric(args.positional[1], args);
     if (a.size() < 2 || b.size() < 2) {
@@ -850,7 +663,7 @@ cmdCompare(const ParsedArgs &args, std::ostream &out, std::ostream &err)
 }
 
 int
-cmdMicro(const ParsedArgs &args, std::ostream &out, std::ostream &err)
+cmdMicro(const ParsedArgs &args, std::ostream &out, std::ostream &)
 {
     if (args.positional.empty()) {
         util::TextTable table({"probe", "measures", "unit"});
@@ -863,16 +676,14 @@ cmdMicro(const ParsedArgs &args, std::ostream &out, std::ostream &err)
 
     const auto &probe = micro::microByName(args.positional[0]);
     core::ExperimentConfig config;
-    if (!parseRuleFlags(args, err, "micro", {"threshold"}, config))
-        return 2;
+    readRuleFlags(args, config);
 
     launcher::LaunchOptions options;
     options.warmupRounds = 3;
     options.primaryMetric = "value";
     options.maxSamples = 500;
-    if (!parseCount(args, err, "micro", "jobs", 1, options.jobs) ||
-        !parseCount(args, err, "micro", "max", 2, options.maxSamples))
-        return 2;
+    args.count("jobs", options.jobs);
+    args.count("max", options.maxSamples);
 
     auto backend = std::make_shared<micro::MicroBackend>(probe);
     launcher::Launcher l(backend, config.makeRule(), options);
@@ -889,21 +700,18 @@ cmdMicro(const ParsedArgs &args, std::ostream &out, std::ostream &err)
 }
 
 int
-cmdSuite(const ParsedArgs &args, std::ostream &out, std::ostream &err)
+cmdSuite(const ParsedArgs &args, std::ostream &out, std::ostream &)
 {
     std::string machine = args.get("machine", "machine1");
     core::ExperimentConfig config;
     config.options.maxSamples = 1000;
     size_t jobs = 1;
     size_t retries = 0;
-    if (!parseRuleFlags(args, err, "suite",
-                        {"threshold", "level", "count", "min"}, config) ||
-        !parseCount(args, err, "suite", "max", 2,
-                    config.options.maxSamples) ||
-        !parseCount(args, err, "suite", "seed", 0, config.seed) ||
-        !parseCount(args, err, "suite", "jobs", 1, jobs) ||
-        !parseCount(args, err, "suite", "retries", 0, retries))
-        return 2;
+    readRuleFlags(args, config);
+    args.count("max", config.options.maxSamples);
+    args.count("seed", config.seed);
+    args.count("jobs", jobs);
+    args.count("retries", retries);
     launcher::RetryPolicy retry;
     retry.maxAttempts = retries + 1;
 
@@ -912,9 +720,8 @@ cmdSuite(const ParsedArgs &args, std::ostream &out, std::ostream &err)
     if (!scenarios_dir.empty()) {
         entries = launcher::scenarioSuite(scenarios_dir);
         if (entries.empty()) {
-            err << "suite: no scenario files (*.json) in '"
-                << scenarios_dir << "'\n";
-            return 2;
+            throw UsageError("no scenario files (*.json) in '" +
+                             scenarios_dir + "'");
         }
     } else {
         entries = launcher::rodiniaSuite(machine);
@@ -948,33 +755,15 @@ cmdSuite(const ParsedArgs &args, std::ostream &out, std::ostream &err)
 }
 
 int
-cmdGate(const ParsedArgs &args, std::ostream &out, std::ostream &err)
+cmdGate(const ParsedArgs &args, std::ostream &out, std::ostream &)
 {
-    if (args.positional.size() < 2) {
-        err << "gate: baseline and candidate CSV files are required\n";
-        return 2;
-    }
     auto baseline = loadMetric(args.positional[0], args);
     auto candidate = loadMetric(args.positional[1], args);
 
     report::GateConfig config;
-    auto parse_flag = [&](const char *key, double &target) {
-        std::string value = args.get(key);
-        if (value.empty())
-            return true;
-        auto parsed = util::parseDouble(value);
-        if (!parsed) {
-            err << "gate: --" << key << " must be a number\n";
-            return false;
-        }
-        target = *parsed;
-        return true;
-    };
-    if (!parse_flag("slowdown", config.maxSlowdown) ||
-        !parse_flag("ks", config.maxKsDistance) ||
-        !parse_flag("alpha", config.alpha)) {
-        return 2;
-    }
+    args.number("slowdown", config.maxSlowdown);
+    args.number("ks", config.maxKsDistance);
+    args.number("alpha", config.alpha);
     if (args.has("larger-is-better"))
         config.largerIsWorse = false;
 
@@ -994,31 +783,32 @@ cmdCalibrate(const ParsedArgs &args, std::ostream &out,
              std::ostream &err)
 {
     calibrate::CalibrationConfig config;
-    if (!parseCount(args, err, "calibrate", "seed", 0,
-                    config.baseSeed) ||
-        !parseCount(args, err, "calibrate", "seeds", 1,
-                    config.seedsPerCell) ||
-        !parseCount(args, err, "calibrate", "max", 2,
-                    config.maxSamples) ||
-        !parseCount(args, err, "calibrate", "truth", 2,
-                    config.truthSamples) ||
-        !parseCount(args, err, "calibrate", "jobs", 1, config.jobs)) {
-        return 2;
-    }
-    auto parse_list = [&](const char *key,
-                          std::vector<std::string> &target) {
-        std::string value = args.get(key);
-        if (value.empty())
-            return;
-        for (const auto &name : util::split(value, ',')) {
-            std::string trimmed = util::trim(name);
-            if (!trimmed.empty())
-                target.push_back(trimmed);
-        }
-    };
-    parse_list("rules", config.rules);
-    parse_list("distributions", config.distributions);
+    args.count("seed", config.baseSeed);
+    args.count("seeds", config.seedsPerCell);
+    args.count("max", config.maxSamples);
+    args.count("truth", config.truthSamples);
+    args.count("jobs", config.jobs);
+    args.list("rules", config.rules);
+    args.list("distributions", config.distributions);
     config.recordTimings = args.has("timings");
+
+    // A baseline that cannot gate is a usage error before the sweep,
+    // not a gate failure after it.
+    std::optional<json::Value> baseline;
+    std::string baseline_path = args.get("baseline");
+    if (!baseline_path.empty()) {
+        baseline = loadSpecFile<json::Value>(
+            baseline_path,
+            [](const json::Value &doc) {
+                check::CheckResult result;
+                calibrate::checkBaseline(doc, result);
+                check::throwIfErrors(std::move(result));
+                return doc;
+            },
+            err);
+        if (!baseline)
+            return 2;
+    }
 
     // Scenario files feed the sweep as extra distributions: the meta
     // rule's delegation is re-tuned against exactly the nonstationary
@@ -1027,17 +817,13 @@ cmdCalibrate(const ParsedArgs &args, std::ostream &out,
     std::string scenarios_dir = args.get("scenarios");
     if (!scenarios_dir.empty()) {
         size_t traces = 0;
-        for (const auto &name : util::listDirectory(scenarios_dir)) {
-            if (!util::endsWith(name, ".json"))
-                continue;
-            sim::ScenarioSpec scenario =
-                sim::loadScenario(scenarios_dir + "/" + name);
-            if (scenario.isTrace()) {
+        for (const auto &entry : launcher::scenarioSuite(scenarios_dir)) {
+            sim::ScenarioSpec scenario = sim::loadScenario(entry.scenario);
+            if (scenario.isTrace())
                 ++traces;
-                continue;
-            }
-            config.extraDistributions.push_back(
-                sim::scenarioDistribution(scenario));
+            else
+                config.extraDistributions.push_back(
+                    sim::scenarioDistribution(scenario));
         }
         if (traces > 0) {
             out << "note: skipped " << traces << " trace scenario"
@@ -1050,35 +836,7 @@ cmdCalibrate(const ParsedArgs &args, std::ostream &out,
         runCalibration(std::move(config));
     json::Value summary = result.summaryJson();
 
-    // Console view: per-rule medians across the swept distributions.
-    util::TextTable table({"rule", "distribution", "median runs",
-                           "median KS", "fired"});
-    for (const auto &[rule, dists] : summary.at("rules").members()) {
-        for (const auto &[dist, entry] : dists.members()) {
-            table.addRow(
-                {rule, dist,
-                 util::formatDouble(
-                     entry.getNumber("median_samples", 0.0), 1),
-                 util::formatDouble(entry.getNumber("median_ks", 0.0),
-                                    4),
-                 util::formatDouble(
-                     entry.getNumber("fired_fraction", 0.0) * 100.0,
-                     0) +
-                     "%"});
-        }
-    }
-    out << table.render();
-    out << "classifier accuracy: "
-        << util::formatDouble(
-               summary.at("classifier").getNumber("accuracy", 0.0) *
-                   100.0,
-               1)
-        << "% over " << result.cells.size() << " cells\n";
-    if (const json::Value *versus = summary.find("meta_vs_fixed")) {
-        out << "meta vs fixed: " << versus->getNumber("wins", 0.0)
-            << "/" << versus->getNumber("distributions", 0.0)
-            << " distributions won\n";
-    }
+    out << calibrate::renderSummary(summary, result.cells.size());
 
     std::string base = args.get("out");
     if (!base.empty()) {
@@ -1091,10 +849,9 @@ cmdCalibrate(const ParsedArgs &args, std::ostream &out,
         json::writeFile(summary, write_baseline);
         out << "wrote baseline " << write_baseline << "\n";
     }
-    std::string baseline_path = args.get("baseline");
-    if (!baseline_path.empty()) {
-        calibrate::GateReport gate = calibrate::compareToBaseline(
-            json::parseFile(baseline_path), summary);
+    if (baseline) {
+        calibrate::GateReport gate =
+            calibrate::compareToBaseline(*baseline, summary);
         out << gate.render();
         return gate.pass ? 0 : 1;
     }
@@ -1105,10 +862,6 @@ int
 cmdWorkflow(const ParsedArgs &args, std::ostream &out,
             std::ostream &err)
 {
-    if (args.positional.empty()) {
-        err << "workflow: a spec file is required\n";
-        return 2;
-    }
     std::ifstream in(args.positional[0]);
     if (!in) {
         err << "workflow: cannot open '" << args.positional[0] << "'\n";
@@ -1150,25 +903,14 @@ cmdWorkflow(const ParsedArgs &args, std::ostream &out,
  * with the CheckResult contract (0 clean, 1 warnings only, 2 errors).
  */
 int
-cmdCheck(const ParsedArgs &args, std::ostream &out, std::ostream &err)
+cmdCheck(const ParsedArgs &args, std::ostream &out, std::ostream &)
 {
     std::string format = args.get("format", "text");
-    if (format != "text" && format != "json") {
-        err << "unknown --format '" << format
-            << "' (expected text or json)\n";
-        return 2;
-    }
 
     // Campaign mode: one state directory, audited as a whole (every
     // artifact deep-checked plus the cross-artifact lints).
     if (args.has("campaign")) {
-        std::string dir = args.get("campaign");
-        if (dir.empty() && !args.positional.empty())
-            dir = args.positional.front();
-        if (dir.empty()) {
-            err << "check --campaign requires a state directory\n";
-            return 2;
-        }
+        const std::string &dir = args.positional.front();
         check::CheckResult result;
         check::checkCampaignDir(dir, result);
         if (format == "json") {
@@ -1184,44 +926,11 @@ cmdCheck(const ParsedArgs &args, std::ostream &out, std::ostream &err)
         return result.exitCode();
     }
 
-    if (args.positional.empty()) {
-        err << "check requires at least one artifact path\n";
-        return 2;
-    }
-
-    // Directory arguments expand to their artifact-shaped entries
-    // (.json, .jsonl, .md), non-recursively and in sorted order, so
-    // `sharp check scenarios/ examples/` covers whole libraries
-    // without enumerating files in CI scripts. Anything else in the
-    // directory folds into one informational note instead of a
-    // per-file complaint.
-    std::vector<std::string> paths;
     size_t skippedFiles = 0;
-    for (const auto &path : args.positional) {
-        if (!util::isDirectory(path)) {
-            paths.push_back(path);
-            continue;
-        }
-        for (const auto &name : util::listDirectory(path)) {
-            std::string full = path;
-            if (!full.empty() && full.back() != '/')
-                full += '/';
-            full += name;
-            if (util::isDirectory(full))
-                continue;
-            if (util::endsWith(name, ".json") ||
-                util::endsWith(name, ".jsonl") ||
-                util::endsWith(name, ".md")) {
-                paths.push_back(std::move(full));
-            } else {
-                ++skippedFiles;
-            }
-        }
-    }
-    if (paths.empty() && skippedFiles == 0) {
-        err << "check: no artifacts found under the given paths\n";
-        return 2;
-    }
+    std::vector<std::string> paths =
+        check::expandArtifactPaths(args.positional, skippedFiles);
+    if (paths.empty() && skippedFiles == 0)
+        throw UsageError("no artifacts found under the given paths");
 
     check::CheckResult total;
     size_t clean = 0;
@@ -1276,25 +985,12 @@ cmdServe(const ParsedArgs &args, std::ostream &out, std::ostream &err)
     serve::ServeOptions options;
     options.socketPath = args.get("socket");
     options.stateDir = args.get("state-dir");
-    if (options.socketPath.empty() || options.stateDir.empty()) {
-        err << "serve: --socket and --state-dir are required\n";
-        return 2;
-    }
-    if (!parseCount(args, err, "serve", "shards", 1, options.shards) ||
-        !parseCount(args, err, "serve", "max-queued", 1,
-                    options.maxQueuedPerTenant) ||
-        !parseCount(args, err, "serve", "max-failovers", 0,
-                    options.maxFailovers))
-        return 2;
-    std::string deadline = args.get("round-deadline");
-    if (!deadline.empty()) {
-        auto parsed = util::parseDouble(deadline);
-        if (!parsed || *parsed <= 0.0) {
-            err << "serve: --round-deadline must be a number > 0\n";
-            return 2;
-        }
-        options.roundDeadlineSeconds = *parsed;
-    }
+    if (options.socketPath.empty() || options.stateDir.empty())
+        throw UsageError("--socket and --state-dir are required");
+    args.count("shards", options.shards);
+    args.count("max-queued", options.maxQueuedPerTenant);
+    args.count("max-failovers", options.maxFailovers);
+    args.number("round-deadline", options.roundDeadlineSeconds);
     return serve::runDaemon(options, out, err);
 }
 
@@ -1302,32 +998,15 @@ int
 cmdClient(const ParsedArgs &args, std::ostream &out, std::ostream &err)
 {
     std::string socket = args.get("socket");
-    if (socket.empty()) {
-        err << "client: --socket is required\n";
-        return 2;
-    }
-    if (args.positional.empty()) {
-        err << "client: an operation is required "
-               "(submit|status|results|cancel|drain|ping|wait)\n";
-        return 2;
-    }
+    if (socket.empty())
+        throw UsageError("--socket is required");
     const std::string &op = args.positional[0];
 
     if (op == "wait") {
-        if (args.positional.size() < 2) {
-            err << "client: wait needs a campaign id\n";
-            return 2;
-        }
+        if (args.positional.size() < 2)
+            throw UsageError("wait needs a campaign id");
         double timeout = 300.0;
-        std::string flag = args.get("timeout");
-        if (!flag.empty()) {
-            auto parsed = util::parseDouble(flag);
-            if (!parsed || *parsed <= 0.0) {
-                err << "client: --timeout must be a number > 0\n";
-                return 2;
-            }
-            timeout = *parsed;
-        }
+        args.number("timeout", timeout);
         json::Value response = serve::waitForCampaign(
             socket, args.positional[1], timeout);
         out << json::writePretty(response) << "\n";
@@ -1343,24 +1022,26 @@ cmdClient(const ParsedArgs &args, std::ostream &out, std::ostream &err)
     json::Value request = json::Value::makeObject();
     request.set("op", op);
     if (op == "submit") {
-        if (args.positional.size() < 2) {
-            err << "client: submit needs a spec file\n";
+        if (args.positional.size() < 2)
+            throw UsageError("submit needs a spec file");
+        // A file that cannot be read is no daemon's doing: exit 2,
+        // not the retryable 1.
+        std::optional<json::Value> spec = loadSpecFile<json::Value>(
+            args.positional[1], [](const json::Value &doc) { return doc; },
+            err);
+        if (!spec)
             return 2;
-        }
         request.set("tenant", args.get("tenant", "default"));
-        request.set("spec", json::parseFile(args.positional[1]));
+        request.set("spec", std::move(*spec));
     } else if (op == "results" || op == "cancel") {
-        if (args.positional.size() < 2) {
-            err << "client: " << op << " needs a campaign id\n";
-            return 2;
-        }
+        if (args.positional.size() < 2)
+            throw UsageError(op + " needs a campaign id");
         request.set("id", args.positional[1]);
     } else if (op == "status") {
         if (args.positional.size() > 1)
             request.set("id", args.positional[1]);
     } else if (op != "drain" && op != "ping") {
-        err << "client: unknown operation '" << op << "'\n";
-        return 2;
+        throw UsageError("unknown operation '" + op + "'");
     }
 
     json::Value response;
@@ -1374,49 +1055,286 @@ cmdClient(const ParsedArgs &args, std::ostream &out, std::ostream &err)
     return serve::clientExitCode(response);
 }
 
+/** @p groups, one after another. */
+std::vector<Flag>
+join(std::initializer_list<std::vector<Flag>> groups)
+{
+    std::vector<Flag> flags;
+    for (const std::vector<Flag> &group : groups)
+        flags.insert(flags.end(), group.begin(), group.end());
+    return flags;
+}
+
 } // anonymous namespace
+
+std::string
+ParsedArgs::get(const std::string &key, const std::string &fallback) const
+{
+    auto it = flags.find(key);
+    return it != flags.end() ? it->second : fallback;
+}
+
+bool
+ParsedArgs::has(const std::string &key) const
+{
+    return flags.count(key) > 0;
+}
+
+void
+ParsedArgs::number(const char *key, double &target) const
+{
+    if (has(key))
+        target = std::stod(get(key));
+}
+
+void
+ParsedArgs::list(const char *key, std::vector<std::string> &target) const
+{
+    for (const auto &name : util::split(get(key), ',')) {
+        std::string trimmed = util::trim(name);
+        if (!trimmed.empty())
+            target.push_back(trimmed);
+    }
+}
+
+ParsedArgs
+parseArgs(const std::vector<std::string> &argv)
+{
+    ParsedArgs parsed;
+    size_t i = 0;
+    if (!argv.empty() && !util::startsWith(argv[0], "--")) {
+        parsed.command = argv[0];
+        i = 1;
+    }
+    while (i < argv.size()) {
+        const std::string &token = argv[i++];
+        if (!util::startsWith(token, "--")) {
+            parsed.positional.push_back(token);
+            continue;
+        }
+        std::string key = token.substr(2);
+        if (key.empty())
+            throw UsageError("empty flag name");
+        // A value follows unless the flag is a switch, or the next
+        // token is another flag or the end of the line.
+        bool valued = key != "help" && i < argv.size() &&
+                      !util::startsWith(argv[i], "--");
+        for (const Form &form : forms()) {
+            if (form.command != parsed.command)
+                continue;
+            const Flag *flag = findFlag(form, key);
+            if (flag && flag->kind == FlagKind::Switch)
+                valued = false;
+        }
+        parsed.flags[key] = valued ? argv[i++] : "";
+    }
+    return parsed;
+}
+
+const Form &
+selectForm(const ParsedArgs &args)
+{
+    const Form *chosen = nullptr;
+    std::vector<std::string> known;
+    for (const Form &form : forms()) {
+        if (args.command != form.command)
+            continue;
+        if (!chosen || (!*chosen->selector && args.has(form.selector)))
+            chosen = &form;
+        for (const Flag &flag : form.flags)
+            known.push_back(std::string("--") + flag.name);
+    }
+    if (!chosen)
+        throw UsageError("unknown command (try `sharp help`)");
+    for (const auto &[key, value] : args.flags) {
+        std::string name = "--" + key;
+        const Flag *flag = findFlag(*chosen, key);
+        if (flag && flag->kind != FlagKind::Switch && value.empty())
+            throw UsageError(name + " needs a value");
+        if (flag || key == "help")
+            continue;
+        if (std::find(known.begin(), known.end(), name) != known.end()) {
+            throw UsageError(name + " is not read by `sharp " +
+                             synopsis(*chosen) + "`" + chosen->unread);
+        }
+        std::string near = check::closestName(name, known);
+        throw UsageError("unknown flag " + name +
+                         (near.empty() ? "" : " (did you mean " + near +
+                                                  "?)"));
+    }
+    size_t needed = 0;
+    for (const std::string &word : util::split(chosen->operands, ' ')) {
+        if (!word.empty() && word[0] != '[')
+            ++needed;
+    }
+    if (args.positional.size() < needed)
+        throw UsageError("expected `sharp " + synopsis(*chosen) + "`");
+    return *chosen;
+}
+
+const std::vector<Form> &
+forms()
+{
+    using enum FlagKind;
+    using enum Range;
+    static const std::vector<Flag> metric = {
+        {"metric", Text, "NAME", "column to analyze (default execution_time)"},
+        {"workload", Text, "NAME", "only the rows of this workload"},
+    };
+    static const std::vector<Flag> html = {
+        {"html", Text, "FILE", "write an HTML report"},
+    };
+    static const std::vector<Flag> output = join({
+        {{"out", Text, "BASE", "write BASE.csv and BASE.md"}}, html});
+    static const std::vector<Flag> campaign = {
+        {"jobs", Count, "N", "worker threads (recorded in metadata)", 1},
+        {"retries", Count, "N", "retry each failed run up to N times"},
+        {"retry-backoff", Number, "S", "base retry delay in seconds", 0,
+         NonNegative},
+        {"max-failures", Count, "N", "abort after exactly N failed runs"},
+        {"max-failure-rate", Number, "X", "abort past this failed fraction",
+         0, Fraction},
+        {"fault", Text, "FILE.json", "inject FILE's seeded fault schedule"},
+        {"journal", Text, "FILE", "append each round to FILE (see --resume)"},
+    };
+    static const std::vector<Form> table = {
+        {"list", "", "", "show benchmarks, machines, stopping rules",
+         cmdList, {}},
+        {"run", "", "", "run one experiment on the simulated testbed",
+         cmdRun,
+         join({{{"workload", Text, "NAME", "Rodinia benchmark (see `list`)"},
+                {"scenario", Text, "FILE.json", "scenario workload instead"},
+                {"machine", Text, "ID", "machine1|2|3 (default machine1)"},
+                {"max", Count, "N", "sample cap (default 2000)", 2},
+                {"day", Count, "D", "simulated day"},
+                {"seed", Count, "S", "environment seed"},
+                {"concurrency", Count, "C", "parallel instances per round",
+                 1}},
+               ruleFlags(), campaign, output})},
+        {"run", "", "config", "run the whole spec in a JSON file",
+         cmdRunConfig,
+         join({{{"config", Text, "FILE.json", ""}}, campaign, output}),
+         "; set it in the spec"},
+        {"run", "", "resume", "resume from a journal or its directory",
+         cmdRunResume, join({{{"resume", Text, "PATH", ""}}, output}),
+         "; the journal holds the spec"},
+        {"reproduce", "FILE.md", "", "re-run an experiment from its metadata",
+         cmdReproduce, {output.front()}},
+        {"suite", "", "", "run the Rodinia grid on one machine", cmdSuite,
+         join({{{"machine", Text, "ID", "machine to run (default machine1)"},
+                {"max", Count, "N", "sample cap (default 1000)", 2},
+                {"seed", Count, "S", "environment seed"},
+                {"jobs", Count, "N", "parallel entries (same output)", 1},
+                {"retries", Count, "N", "retry failed runs in every entry"},
+                {"scenarios", Text, "DIR", "run DIR's scenarios instead"}},
+               ruleFlags(5)})},
+        {"micro", "[PROBE]", "", "list or run microbenchmark probes",
+         cmdMicro,
+         join({{{"max", Count, "N", "sample cap (default 500)", 2},
+                {"jobs", Count, "N", "worker threads", 1}},
+               ruleFlags(2)})},
+        {"report", "FILE.csv", "", "analyze a recorded run", cmdReport,
+         join({metric, html})},
+        {"compare", "A.csv B.csv", "", "compare two recorded runs",
+         cmdCompare, join({metric, html})},
+        {"baseline", "capture RUNS...", "",
+         "distill recorded runs into a baseline bundle", cmdBaseline,
+         {{"out", Text, "PATH", "bundle file or directory (required)"},
+          {"metric", Text, "NAME", "metric column (default execution_time)"},
+          {"group-by", Text, "COL", "scenario key column (default workload)"},
+          {"jobs", Count, "N", "parse inputs in parallel", 1}}},
+        {"compare", "RUNS...", "against",
+         "gate candidate runs against a baseline\n"
+         "(exit: 0 no regression, 1 investigate, 2 error)",
+         cmdCompareAgainst,
+         {{"against", Text, "BUNDLE", ""},
+          {"format", Choice, "text|json", "report format (default text)"},
+          {"out", Text, "FILE", "also write the JSON report to FILE"},
+          {"metric", Text, "NAME", "override the bundle's metric"},
+          {"median-ratio", Number, "X", "median may grow to baseline*X"},
+          {"median-slack", Number, "X", "additive slack in metric units"},
+          {"ks-limit", Number, "X", "KS limit when the median degraded"},
+          {"cv-limit", Number, "X", "candidate %CV ceiling"},
+          {"level", Number, "X", "bootstrap confidence level"},
+          {"resamples", Count, "N", "bootstrap resamples per scenario"},
+          {"seed", Count, "S", "bootstrap base seed"},
+          {"jobs", Count, "N", "capture the candidates in parallel", 1}}},
+        {"gate", "BASE.csv CAND.csv", "", "regression gate between two runs",
+         cmdGate,
+         join({metric,
+               {{"slowdown", Number, "X", "allowed relative median slowdown"},
+                {"ks", Number, "X", "allowed KS distance of the shapes"},
+                {"alpha", Number, "X", "Mann-Whitney significance level"},
+                {"larger-is-better", Switch, "", "larger is better"}}})},
+        {"calibrate", "", "", "sweep the rules over the tuning set (§IV-c)",
+         cmdCalibrate,
+         {{"seed", Count, "S", "base seed (default 1)"},
+          {"seeds", Count, "K", "repetitions per cell (default 9)", 1},
+          {"max", Count, "N", "sample cap per cell (default 800)", 2},
+          {"truth", Count, "N", "ground-truth sample size (default 8192)", 2},
+          {"jobs", Count, "N", "worker threads (same output for any N)", 1},
+          {"rules", Text, "a,b,c", "subset of rules (default: all)"},
+          {"distributions", Text, "x,y", "subset of distributions (all)"},
+          {"scenarios", Text, "DIR", "add DIR's generator scenarios"},
+          {"out", Text, "BASE", "write BASE.csv and BASE.json"},
+          {"write-baseline", Text, "FILE", "write the summary as a baseline"},
+          {"baseline", Text, "FILE", "gate against a baseline (fail: exit 1)"},
+          {"timings", Switch, "", "add a wall_ms CSV column (not stable)"}}},
+        {"workflow", "SPEC.json", "", "translate a serverless workflow",
+         cmdWorkflow,
+         {{"makefile", Text, "FILE", "write the Makefile"},
+          {"execute", Switch, "", "run the DAG natively"}}},
+        {"check", "PATH...", "", "statically validate artifacts (exit: 0\n"
+                                 "clean, 1 warnings only, 2 errors)",
+         cmdCheck,
+         {{"campaign", Switch, "", "audit a `sharp serve` state directory"},
+          {"format", Choice, "text|json", "output format (default text)"}}},
+        {"serve", "", "", "run the supervised campaign daemon\n"
+                          "(SIGTERM drains and exits 130; campaigns\n"
+                          "resume byte-identically on restart)",
+         cmdServe,
+         {{"socket", Text, "PATH", "unix socket to listen on (required)"},
+          {"state-dir", Text, "DIR", "state (required; a restart resumes)"},
+          {"shards", Count, "N", "concurrent worker shards (default 2)", 1},
+          {"max-queued", Count, "N", "per-tenant campaign cap (default 8)", 1},
+          {"round-deadline", Number, "S", "heartbeat deadline (default 60)",
+           0, Positive},
+          {"max-failovers", Count, "N", "failovers before a campaign fails"}}},
+        {"client", "OP [ARG]", "", "talk to a daemon: submit SPEC.json,\n"
+                                   "status [ID], results ID, cancel ID,\n"
+                                   "drain, ping or wait ID\n"
+                                   "(exit: 0 ok, 1 retryable rejection or\n"
+                                   "unreachable daemon, 2 non-retryable)",
+         cmdClient,
+         {{"socket", Text, "PATH", "daemon socket (required)"},
+          {"tenant", Text, "NAME", "tenant of a submit (default default)"},
+          {"timeout", Number, "S", "seconds a wait polls (default 300)", 0,
+           Positive}}},
+        {"help", "", "", "this text", cmdHelp, {}},
+    };
+    return table;
+}
 
 int
 runCli(const std::vector<std::string> &argv, std::ostream &out,
        std::ostream &err)
 {
+    ParsedArgs args;
     try {
-        ParsedArgs args = parseArgs(argv);
-        if (args.command.empty() || args.command == "help" ||
-            args.has("help")) {
-            out << usageText;
-            return args.command.empty() && argv.empty() ? 2 : 0;
+        args = parseArgs(argv);
+        if (args.command.empty() || args.has("help")) {
+            std::string help = usage(args.command);
+            if (!help.empty()) {
+                out << help;
+                return args.has("help") ? 0 : 2;
+            }
         }
-        if (args.command == "list")
-            return cmdList(out);
-        if (args.command == "run")
-            return cmdRun(args, out, err);
-        if (args.command == "reproduce")
-            return cmdReproduce(args, out, err);
-        if (args.command == "report")
-            return cmdReport(args, out, err);
-        if (args.command == "compare")
-            return cmdCompare(args, out, err);
-        if (args.command == "baseline")
-            return cmdBaseline(args, out, err);
-        if (args.command == "gate")
-            return cmdGate(args, out, err);
-        if (args.command == "calibrate")
-            return cmdCalibrate(args, out, err);
-        if (args.command == "suite")
-            return cmdSuite(args, out, err);
-        if (args.command == "micro")
-            return cmdMicro(args, out, err);
-        if (args.command == "workflow")
-            return cmdWorkflow(args, out, err);
-        if (args.command == "check")
-            return cmdCheck(args, out, err);
-        if (args.command == "serve")
-            return cmdServe(args, out, err);
-        if (args.command == "client")
-            return cmdClient(args, out, err);
-        err << "unknown command '" << args.command
-            << "' (try `sharp help`)\n";
+        const Form &form = selectForm(args);
+        checkValues(args, form);
+        return form.run(args, out, err);
+    } catch (const UsageError &problem) {
+        err << (args.command.empty() ? "sharp" : args.command) << ": "
+            << problem.what() << "\n";
         return 2;
     } catch (const std::exception &ex) {
         err << "error: " << ex.what() << "\n";

@@ -839,4 +839,227 @@ TEST(Cli, WorkflowReportsBadSpec)
     fs::remove(spec);
 }
 
+TEST(Cli, UnknownFlagExitsTwoWithAHintBeforeAnyWork)
+{
+    CliResult typo = run({"run", "--workload", "bfs", "--thresold", "0.5",
+                          "--max", "30"});
+    EXPECT_EQ(typo.status, 2);
+    EXPECT_EQ(typo.err,
+              "run: unknown flag --thresold (did you mean --threshold?)\n");
+    EXPECT_EQ(typo.out, "");
+
+    // Nothing runs, so nothing is written.
+    fs::path base = fs::temp_directory_path() / "sharp_cli_typo";
+    fs::remove(base.string() + ".csv");
+    CliResult written = run({"run", "--workload", "bfs", "--thresold",
+                             "0.5", "--max", "30", "--out", base.string()});
+    EXPECT_EQ(written.status, 2);
+    EXPECT_FALSE(fs::exists(base.string() + ".csv"));
+}
+
+TEST(Cli, EveryFormRejectsAnUndeclaredFlag)
+{
+    for (const Form &form : forms()) {
+        std::vector<std::string> argv = {form.command};
+        if (*form.selector) {
+            argv.push_back(std::string("--") + form.selector);
+            argv.push_back("x");
+        }
+        argv.push_back("--no-such-flag");
+        CliResult result = run(argv);
+        EXPECT_EQ(result.status, 2) << form.command << " " << form.selector;
+        EXPECT_EQ(result.err, std::string(form.command) +
+                                  ": unknown flag --no-such-flag\n");
+        EXPECT_EQ(result.out, "");
+    }
+}
+
+TEST(Cli, SwitchesNeverTakeAnOperand)
+{
+    fs::path dir = fs::temp_directory_path() / "sharp_cli_switches";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    std::string base = (dir / "runs").string();
+    ASSERT_EQ(run({"run", "--workload", "lud", "--rule", "fixed", "--count",
+                   "20", "--out", base})
+                  .status,
+              0);
+    CliResult gate = run({"gate", "--larger-is-better", base + ".csv",
+                          base + ".csv"});
+    EXPECT_EQ(gate.status, 0) << gate.err;
+    EXPECT_NE(gate.out.find("PASS"), std::string::npos) << gate.out;
+
+    std::string spec = (dir / "workflow.json").string();
+    std::ofstream(spec) << R"({"id": "switches",
+        "functions": [{"name": "f", "operation": "true"}],
+        "states": [{"name": "s", "type": "operation",
+                    "actions": [{"functionRef": "f"}]}]})";
+    CliResult workflow = run({"workflow", "--execute", spec});
+    EXPECT_EQ(workflow.status, 0) << workflow.err;
+    EXPECT_NE(workflow.out.find("succeeded"), std::string::npos);
+    fs::remove_all(dir);
+}
+
+TEST(Cli, AValueFlagWithoutAValueExitsTwo)
+{
+    CliResult max = run({"run", "--workload", "bfs", "--max"});
+    EXPECT_EQ(max.status, 2);
+    EXPECT_EQ(max.err, "run: --max needs a value\n");
+
+    // A bare --journal names no journal, whatever --out says.
+    fs::path base = fs::temp_directory_path() / "sharp_cli_bare_journal";
+    fs::remove(base.string() + ".journal.jsonl");
+    CliResult journal =
+        run({"run", "--workload", "bfs", "--rule", "fixed", "--count", "5",
+             "--journal", "--out", base.string()});
+    EXPECT_EQ(journal.status, 2);
+    EXPECT_EQ(journal.err, "run: --journal needs a value\n");
+    EXPECT_FALSE(fs::exists(base.string() + ".journal.jsonl"));
+    EXPECT_FALSE(fs::exists(base.string() + ".csv"));
+}
+
+TEST(Cli, EachFormReadsOnlyItsOwnFlags)
+{
+    std::string spec =
+        std::string(SHARP_SOURCE_DIR) + "/examples/run_spec.json";
+    CliResult config = run({"run", "--config", spec, "--seed", "9"});
+    EXPECT_EQ(config.status, 2);
+    EXPECT_EQ(config.err, "run: --seed is not read by `sharp run --config "
+                          "FILE.json`; set it in the spec\n");
+    EXPECT_EQ(config.out, "");
+
+    CliResult resume =
+        run({"run", "--resume", "/no/such/journal", "--max", "5"});
+    EXPECT_EQ(resume.status, 2);
+    EXPECT_EQ(resume.err.rfind("run: --max is not read by `sharp run "
+                               "--resume PATH`",
+                               0),
+              0u)
+        << resume.err;
+
+    CliResult compare = run({"compare", "a.csv", "b.csv", "--format", "json"});
+    EXPECT_EQ(compare.status, 2);
+    EXPECT_EQ(compare.err,
+              "compare: --format is not read by `sharp compare A.csv "
+              "B.csv`\n");
+}
+
+TEST(Cli, SuiteAndMicroRejectTheRuleFlagsTheyDoNotRead)
+{
+    // machine2 runs the 11 CPU benchmarks, 7 runs each.
+    CliResult fixed = run({"suite", "--machine", "machine2", "--rule",
+                           "fixed", "--count", "7", "--max", "50"});
+    EXPECT_EQ(fixed.status, 0) << fixed.err;
+    EXPECT_NE(fixed.out.find("total runs: 77 "), std::string::npos)
+        << fixed.out;
+
+    // suite takes no --quantile and micro no --count: both are unknown
+    // flags, not a rule parameter dropped at its default.
+    CliResult quantile = run({"suite", "--rule", "tail-quantile",
+                              "--quantile", "0.9", "--max", "50"});
+    EXPECT_EQ(quantile.status, 2);
+    EXPECT_EQ(quantile.err, "suite: unknown flag --quantile\n");
+    EXPECT_EQ(quantile.out, "");
+    CliResult count = run({"micro", "alu-ops", "--rule", "fixed",
+                           "--count", "7", "--max", "50"});
+    EXPECT_EQ(count.status, 2);
+    EXPECT_EQ(count.err, "micro: unknown flag --count\n");
+    EXPECT_EQ(count.out, "");
+}
+
+TEST(Cli, HelpIsRenderedFromTheTable)
+{
+    CliResult all = run({"help"});
+    ASSERT_EQ(all.status, 0);
+    for (const Form &form : forms()) {
+        CliResult one = run({form.command, "--help"});
+        EXPECT_EQ(one.status, 0) << form.command;
+        EXPECT_EQ(one.err, "");
+        std::string summary = form.summary;
+        summary = summary.substr(0, summary.find('\n'));
+        EXPECT_NE(one.out.find(summary), std::string::npos) << summary;
+        EXPECT_NE(all.out.find(summary), std::string::npos) << summary;
+        for (const Flag &flag : form.flags) {
+            if (std::string(flag.name) == form.selector)
+                continue;
+            std::string line = std::string("--") + flag.name;
+            if (flag.kind != FlagKind::Switch)
+                line += std::string(" ") + flag.value;
+            for (const std::string &text : {one.out, all.out}) {
+                size_t at = text.find("      " + line + " ");
+                ASSERT_NE(at, std::string::npos) << form.command << line;
+                EXPECT_NE(text.find(flag.help, at), std::string::npos)
+                    << form.command << line;
+            }
+        }
+    }
+    // The exit contracts of the daemon and its client.
+    EXPECT_NE(run({"serve", "--help"}).out.find("exits 130"),
+              std::string::npos);
+    EXPECT_NE(run({"client", "--help"}).out.find("1 retryable rejection"),
+              std::string::npos);
+}
+
+TEST(Cli, CalibrateChecksItsBaselineBeforeTheSweep)
+{
+    // A baseline that cannot gate is a usage error (2), reported where
+    // `sharp check` reports it, and no cell runs; a failed gate is 1.
+    fs::path bad = fs::temp_directory_path() / "sharp_cli_bad_base.json";
+    std::ofstream(bad) << "{\"schema\": }\n";
+    const std::vector<std::string> sweep = {"calibrate", "--rules",
+                                            "fixed", "--distributions",
+                                            "normal", "--baseline"};
+    std::vector<std::string> argv = sweep;
+    argv.push_back(bad.string());
+    CliResult syntax = run(argv);
+    EXPECT_EQ(syntax.status, 2);
+    EXPECT_EQ(syntax.out, "");
+    EXPECT_EQ(syntax.err.rfind(bad.string() + ":1:12: error: ", 0), 0u)
+        << syntax.err;
+    EXPECT_NE(syntax.err.find("[json-syntax]"), std::string::npos);
+
+    std::ofstream(bad) << "{}\n";
+    CliResult shape = run(argv);
+    EXPECT_EQ(shape.status, 2);
+    EXPECT_EQ(shape.out, "");
+    EXPECT_NE(shape.err.find(bad.string() + ":1:1: error: baseline "
+                                            "requires a 'rules' object"),
+              std::string::npos)
+        << shape.err;
+
+    argv.back() = "/no/such/baseline.json";
+    CliResult missing = run(argv);
+    EXPECT_EQ(missing.status, 2);
+    EXPECT_EQ(missing.out, "");
+    EXPECT_NE(missing.err.find("[io-error]"), std::string::npos);
+    fs::remove(bad);
+}
+
+TEST(Cli, ClientSubmitOfABadFileExitsTwoWithoutADaemon)
+{
+    // Exit 1 means "retry later" to a client; a spec file that is not
+    // JSON will not get better, so it is a 2, found before connecting.
+    fs::path bad = fs::temp_directory_path() / "sharp_cli_bad_submit.json";
+    std::ofstream(bad) << "{\"backend\": }\n";
+    std::string socket =
+        (fs::temp_directory_path() / "sharp_cli_no_daemon.sock").string();
+    CliResult result =
+        run({"client", "submit", bad.string(), "--socket", socket});
+    EXPECT_EQ(result.status, 2);
+    EXPECT_EQ(result.out, "");
+    EXPECT_EQ(result.err.rfind(bad.string() + ":1:13: error: ", 0), 0u)
+        << result.err;
+    EXPECT_NE(result.err.find("[json-syntax]"), std::string::npos);
+
+    // A file that cannot be opened is reported at its path as well
+    // (root still opens it, and gets the syntax error).
+    fs::permissions(bad, fs::perms::none);
+    CliResult unreadable =
+        run({"client", "submit", bad.string(), "--socket", socket});
+    EXPECT_EQ(unreadable.status, 2);
+    EXPECT_EQ(unreadable.err.rfind(bad.string() + ":", 0), 0u)
+        << unreadable.err;
+    fs::remove(bad);
+}
+
 } // anonymous namespace
