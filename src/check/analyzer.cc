@@ -1,5 +1,6 @@
 #include "check/analyzer.hh"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 
@@ -43,190 +44,75 @@ hasAnyKey(const json::Value &doc,
     return false;
 }
 
-/** 1-based line of the first line containing @p needle; 0 = absent. */
-size_t
-findLine(const std::string &text, const std::string &needle)
-{
-    size_t line = 1;
-    size_t start = 0;
-    while (start <= text.size()) {
-        size_t end = text.find('\n', start);
-        if (end == std::string::npos)
-            end = text.size();
-        if (text.compare(start, end - start, needle) == 0 ||
-            text.substr(start, end - start).find(needle) !=
-                std::string::npos) {
-            return line;
-        }
-        if (end == text.size())
-            break;
-        start = end + 1;
-        ++line;
-    }
-    return 0;
-}
+} // anonymous namespace
 
-/**
- * Merge @p findings into @p out, stamping @p fallback_line onto any
- * diagnostic that has no location of its own. Used where the checked
- * document was reconstructed (journal spec line, metadata) and only
- * the enclosing source line is known.
- */
-void
-mergeWithFallbackLine(const CheckResult &findings, size_t fallback_line,
-                      CheckResult &out)
-{
-    for (Diagnostic diagnostic : findings.diagnostics()) {
-        if (diagnostic.line == 0)
-            diagnostic.line = fallback_line;
-        out.add(std::move(diagnostic));
-    }
-}
-
-/**
- * Journal deep check: the line-oriented lints, plus a full run-spec
- * analysis of the journaled spec so a resumable journal with, say, a
- * workload that no longer exists is flagged before anyone resumes it.
- */
-void
+record::JournalContents
 checkJournal(const std::string &text, CheckResult &out)
 {
-    record::checkJournalText(text, out);
-
-    // The spec line is journal line 1, parsed alone — so locations
-    // from re-parsing it are already correct for the whole file.
-    size_t end = text.find('\n');
-    std::string first = end == std::string::npos ? text :
-                                                   text.substr(0, end);
-    if (first.empty())
-        return;
-    json::Value doc;
-    try {
-        doc = json::parse(first);
-    } catch (const std::exception &) {
-        return; // already reported by checkJournalText
-    }
-    if (doc.getString("type", "") != "spec")
-        return;
-    const json::Value *spec = doc.find("spec");
-    if (!spec || !spec->isObject())
-        return;
-    launcher::checkRunSpec(*spec, out);
+    record::JournalContents contents = record::walkJournal(text, out);
+    // A resumable journal whose spec no longer runs (a workload that
+    // left the registry, say) is flagged before anyone resumes it.
+    if (contents.spec.isObject())
+        launcher::checkRunSpec(contents.spec, out);
+    return contents;
 }
 
-/** Metadata deep check: parse, rebuild the spec, lint it. */
-void
+record::MetadataDocument
 checkMetadata(const std::string &text, CheckResult &out)
 {
-    record::MetadataDocument doc;
-    try {
-        doc = record::MetadataDocument::parse(text);
-    } catch (const std::exception &problem) {
-        out.error(std::string("metadata-syntax"),
-                  std::string("malformed metadata document: ") +
-                      problem.what());
-        return;
-    }
-    if (!doc.hasSection("Configuration")) {
-        out.error(std::string("missing-field"),
-                  "metadata lacks a 'Configuration' section; "
-                  "`sharp reproduce` cannot rebuild the experiment");
-        return;
-    }
+    record::MetadataDocument doc = record::MetadataDocument::parse(text, out);
+    size_t errors = out.errorCount();
+    json::Value spec = launcher::reproSpecObject(doc, out);
+    if (out.errorCount() > errors)
+        return doc;
+    // The spec the entries record, linted like a run-spec file; each
+    // finding lands on its entry's line.
+    launcher::checkRunSpec(spec, out);
 
-    launcher::ReproSpec spec;
-    try {
-        spec = launcher::reproSpecFromMetadata(doc);
-    } catch (const CheckFailure &failure) {
-        mergeWithFallbackLine(failure.result(),
-                              findLine(text, "## Configuration"), out);
-        return;
-    } catch (const std::exception &problem) {
-        // Messages name the offending entry; point at its line.
-        std::string what = problem.what();
-        size_t line = 0;
-        size_t quote = what.find("'");
-        if (quote != std::string::npos) {
-            size_t close = what.find("'", quote + 1);
-            if (close != std::string::npos) {
-                line = findLine(
-                    text, what.substr(quote + 1, close - quote - 1));
-            }
-        }
-        out.report(Severity::Error,
-                   json::Location{static_cast<uint32_t>(line), 0},
-                   "bad-metadata", what);
-        return;
-    }
-
-    // Lint the reconstructed spec the same way a run-spec file is
-    // linted; locations are unknown (the spec was rebuilt from
-    // key/value entries), so findings point at the section header.
-    CheckResult findings;
-    launcher::checkRunSpec(spec.toJson(), findings);
-    mergeWithFallbackLine(findings, findLine(text, "## Configuration"),
-                          out);
-
-    // The rebuilt spec drops the keys loading ignores, so lint the
-    // recorded experiment too: obsolete keys get their notes at the
-    // entry's line. It loaded above, so it parses and has no errors.
-    CheckResult recorded;
-    core::checkExperimentConfig(
-        json::parse(*doc.get("Configuration", "repro_experiment")),
-        recorded);
-    size_t experiment_line = findLine(text, "repro_experiment");
-    for (Diagnostic diagnostic : recorded.diagnostics()) {
-        diagnostic.line = experiment_line;
-        diagnostic.column = 0;
-        out.add(std::move(diagnostic));
-    }
-
-    if (spec.backendKind == "local") {
+    auto at = [&doc](const char *key) {
+        auto line = doc.findEntry("Configuration", key)->line;
+        return json::Location{static_cast<uint32_t>(line), 0};
+    };
+    if (spec.getString("backend", "") == "local") {
         std::string message =
             "metadata records the 'local' backend; wall-clock timings "
             "cannot replay bit-exactly";
-        if (spec.jobs > 1) {
-            message += " (and jobs=" + std::to_string(spec.jobs) +
+        if (spec.getNumber("jobs", 1.0) > 1.0) {
+            message += " (and jobs=" +
+                       *doc.get("Configuration", "repro_jobs") +
                        " adds scheduling nondeterminism)";
         }
-        out.report(Severity::Warning,
-                   json::Location{static_cast<uint32_t>(findLine(
-                                      text, "repro_backend")),
-                                  0},
+        out.report(Severity::Warning, at("repro_backend"),
                    "nondeterministic-repro", message,
                    "expect distribution-level, not sample-level, "
                    "agreement on reproduction");
     }
-
-    if (auto backend = doc.get("Configuration",
-                               "repro_simd_backend")) {
-        bool known = false;
-        for (const std::string &name : simd::knownBackendNames())
-            known = known || name == *backend;
-        if (!known) {
-            out.report(
-                Severity::Error,
-                json::Location{static_cast<uint32_t>(findLine(
-                                   text, "repro_simd_backend")),
-                               0},
-                "unknown-simd-backend",
-                "metadata records SIMD backend '" + *backend +
-                    "', which this build does not know",
-                suggestName(*backend, simd::knownBackendNames()));
-        }
+    const std::vector<std::string> &simds = simd::knownBackendNames();
+    auto simd = doc.get("Configuration", "repro_simd_backend");
+    if (simd && std::find(simds.begin(), simds.end(), *simd) == simds.end()) {
+        out.report(Severity::Error, at("repro_simd_backend"),
+                   "unknown-simd-backend",
+                   "metadata records SIMD backend '" + *simd +
+                       "', which this build does not know",
+                   suggestName(*simd, simds));
     }
-
-    if (doc.get("Configuration", "repro_stats_cache")) {
-        out.report(Severity::Note,
-                   json::Location{static_cast<uint32_t>(findLine(
-                                      text, "repro_stats_cache")),
-                                  0},
-                   "obsolete-stats-cache",
-                   launcher::obsoleteStatsCacheMessage);
-    }
+    return doc;
 }
 
-} // anonymous namespace
+bool
+readArtifact(const std::string &path, std::string &text, CheckResult &out)
+{
+    out.setArtifact(path);
+    std::ifstream in(path, std::ios::binary);
+    if (!in) {
+        out.error(std::string("io-error"), "cannot read '" + path + "'");
+        return false;
+    }
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    text = buffer.str();
+    return true;
+}
 
 const char *
 artifactKindName(ArtifactKind kind)
@@ -371,45 +257,27 @@ ArtifactKind
 checkArtifactText(const std::string &path, const std::string &text,
                   ArtifactKind kind, CheckResult &out)
 {
-    // Text formats first: they are not (single-document) JSON.
-    if (kind == ArtifactKind::Unknown &&
-        (util::endsWith(path, ".md") || util::startsWith(text, "# ")))
-        kind = ArtifactKind::Metadata;
-    if (kind == ArtifactKind::Unknown && util::endsWith(path, ".jsonl"))
-        kind = serve::looksLikeQueueJournal(text)
-                   ? ArtifactKind::QueueJournal
-                   : ArtifactKind::Journal;
-    if (kind == ArtifactKind::Metadata) {
-        checkMetadata(text, out);
-        return kind;
-    }
-    if (kind == ArtifactKind::Journal) {
-        checkJournal(text, out);
-        return kind;
-    }
-    if (kind == ArtifactKind::QueueJournal) {
-        serve::checkQueueText(text, out);
-        return kind;
-    }
-
-    json::Value doc;
-    try {
-        doc = json::parse(text);
-    } catch (const json::ParseError &problem) {
-        out.syntaxError(problem);
-        return kind;
-    } catch (const std::exception &problem) {
-        out.error(std::string("json-syntax"), problem.what());
-        return kind;
-    }
+    // Text formats first, by name: they are not (single-document) JSON.
     if (kind == ArtifactKind::Unknown)
-        kind = sniffArtifact(path, text, &doc);
-    // Content sniffing can still land on a text format (a journal
-    // named .json whose single line is the spec header).
+        kind = sniffArtifact(path, text, nullptr);
+    json::Value doc;
+    if (kind != ArtifactKind::Journal && kind != ArtifactKind::Metadata &&
+        kind != ArtifactKind::QueueJournal) {
+        try {
+            doc = json::parse(text);
+        } catch (const json::ParseError &problem) {
+            out.syntaxError(problem);
+            return kind;
+        }
+        // Content sniffing can still land on a text format (a journal
+        // named .json whose single line is the spec header).
+        if (kind == ArtifactKind::Unknown)
+            kind = sniffArtifact(path, text, &doc);
+    }
     if (kind == ArtifactKind::Journal)
         checkJournal(text, out);
     else if (kind == ArtifactKind::QueueJournal)
-        serve::checkQueueText(text, out);
+        serve::walkQueue(text, out, true);
     else if (kind == ArtifactKind::Metadata)
         checkMetadata(text, out);
     else if (kind == ArtifactKind::Scenario)
@@ -424,17 +292,10 @@ checkArtifactText(const std::string &path, const std::string &text,
 ArtifactKind
 checkArtifactFile(const std::string &path, CheckResult &out)
 {
-    out.setArtifact(path);
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        out.error(std::string("io-error"),
-                  "cannot read '" + path + "'");
+    std::string text;
+    if (!readArtifact(path, text, out))
         return ArtifactKind::Unknown;
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return checkArtifactText(path, buffer.str(), ArtifactKind::Unknown,
-                             out);
+    return checkArtifactText(path, text, ArtifactKind::Unknown, out);
 }
 
 std::vector<std::string>

@@ -24,6 +24,8 @@
 
 #include "check/diagnostic.hh"
 #include "json/value.hh"
+#include "record/journal.hh"
+#include "record/metadata.hh"
 
 namespace sharp
 {
@@ -103,6 +105,30 @@ ArtifactKind checkArtifactText(const std::string &path,
  */
 ArtifactKind checkArtifactFile(const std::string &path,
                                CheckResult &out);
+
+/**
+ * Read @p path into @p text, stamping @p path on later findings.
+ * @return false, after an "io-error" finding, when it cannot be read.
+ */
+bool readArtifact(const std::string &path, std::string &text,
+                  CheckResult &out);
+
+/**
+ * Check run-journal text: record::walkJournal(), then the full
+ * run-spec lint of its spec. @return what the walk folded.
+ */
+record::JournalContents checkJournal(const std::string &text,
+                                     CheckResult &out);
+
+/**
+ * Check metadata text: the markdown parse, then the run-spec object
+ * `sharp reproduce` loads (launcher::reproSpecObject()), linted like a
+ * run-spec file, and the provenance entries (a local backend, an
+ * unknown SIMD backend). Each finding lands on its line.
+ * @return the parsed document.
+ */
+record::MetadataDocument checkMetadata(const std::string &text,
+                                       CheckResult &out);
 
 /**
  * The artifact files @p paths name, for `sharp check`. A directory

@@ -7,10 +7,7 @@
 #include "check/analyzer.hh"
 #include "json/parser.hh"
 #include "launcher/reproduce.hh"
-#include "record/journal.hh"
-#include "record/metadata.hh"
 #include "serve/queue.hh"
-#include "simd/dispatch.hh"
 #include "serve/state.hh"
 #include "util/fs.hh"
 #include "util/string_utils.hh"
@@ -78,15 +75,9 @@ compareFacet(CheckResult &out, const std::string &journalPath,
 void
 auditJournal(const serve::Campaign &campaign,
              const launcher::ReproSpec *submitted,
-             const std::string &journalPath, CheckResult &out)
+             const std::string &journalPath,
+             const record::JournalContents &contents, CheckResult &out)
 {
-    record::JournalContents contents;
-    try {
-        contents = record::readJournal(journalPath);
-    } catch (const std::exception &) {
-        return; // malformed lines were reported by the deep check
-    }
-
     if (campaign.state == serve::CampaignState::Done && !contents.done) {
         fileFinding(out, Severity::Error, journalPath,
                     "campaign-journal-divergence",
@@ -129,18 +120,11 @@ auditJournal(const serve::Campaign &campaign,
 void
 auditMetadata(const serve::Campaign &campaign,
               const launcher::ReproSpec &submitted,
-              const std::string &mdPath, CheckResult &out)
+              const std::string &mdPath,
+              const record::MetadataDocument &doc, CheckResult &out)
 {
-    record::MetadataDocument doc;
-    try {
-        doc = record::MetadataDocument::load(mdPath);
-    } catch (const std::exception &) {
-        return; // unparseable metadata was reported by the deep check
-    }
-
-    const std::string sec = "Configuration";
     auto mismatch = [&](const char *key, const std::string &expected) {
-        auto entry = doc.get(sec, key);
+        auto entry = doc.get("Configuration", key);
         if (!entry || *entry == expected)
             return;
         fileFinding(out, Severity::Error, mdPath,
@@ -156,25 +140,6 @@ auditMetadata(const serve::Campaign &campaign,
     mismatch("repro_jobs", std::to_string(submitted.jobs));
     mismatch("repro_backend", submitted.backendKind);
     mismatch("repro_workload", submitted.workload);
-
-    // The SIMD backend is provenance, not spec, so it is not compared
-    // against the submission — but an unknown name means the metadata
-    // was edited or written by a foreign build, which is an error.
-    if (auto backend = doc.get(sec, "repro_simd_backend")) {
-        bool known = false;
-        for (const std::string &name : simd::knownBackendNames())
-            known = known || name == *backend;
-        if (!known) {
-            fileFinding(out, Severity::Error, mdPath,
-                        "unknown-simd-backend",
-                        "campaign '" + campaign.id +
-                            "': metadata records SIMD backend '" +
-                            *backend +
-                            "', which this build does not know",
-                        suggestName(*backend,
-                                    simd::knownBackendNames()));
-        }
-    }
 }
 
 } // anonymous namespace
@@ -201,16 +166,14 @@ checkCampaignDir(const std::string &dir, CheckResult &out)
                     "directory");
         return;
     }
-    checkArtifactFile(queuePath, out);
     handled.insert(queuePath);
-
+    // Each artifact is read once: the walk that checks it also folds
+    // what the audit compares.
+    std::string text;
+    bool queueUsable = readArtifact(queuePath, text, out);
     serve::QueueContents queue;
-    bool queueUsable = true;
-    try {
-        queue = serve::readQueue(queuePath);
-    } catch (const std::exception &) {
-        queueUsable = false; // the deep check reported the lines
-    }
+    if (queueUsable)
+        queue = serve::walkQueue(text, out, true);
 
     // Daemon state: optional but its absence mutes the config
     // cross-checks, which is worth a warning.
@@ -269,17 +232,23 @@ checkCampaignDir(const std::string &dir, CheckResult &out)
             }
 
             if (util::fileExists(journalPath)) {
-                checkArtifactFile(journalPath, out);
                 handled.insert(journalPath);
-                auditJournal(campaign,
-                             submitted ? &*submitted : nullptr,
-                             journalPath, out);
+                if (readArtifact(journalPath, text, out)) {
+                    auditJournal(campaign,
+                                 submitted ? &*submitted : nullptr,
+                                 journalPath, checkJournal(text, out),
+                                 out);
+                }
             }
             if (util::fileExists(mdPath)) {
-                checkArtifactFile(mdPath, out);
                 handled.insert(mdPath);
-                if (submitted)
-                    auditMetadata(campaign, *submitted, mdPath, out);
+                if (readArtifact(mdPath, text, out)) {
+                    record::MetadataDocument doc =
+                        checkMetadata(text, out);
+                    if (submitted)
+                        auditMetadata(campaign, *submitted, mdPath, doc,
+                                      out);
+                }
             }
             // No checker reads CSV bodies; it is still a known
             // artifact, not a skippable stray.

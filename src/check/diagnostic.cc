@@ -306,21 +306,24 @@ checkKnownFields(const json::Value &object,
 
 const json::Value *
 checkIntegerField(const json::Value &object, const char *key,
-                  long minimum, CheckResult &out)
+                  long minimum, CheckResult &out, long maximum)
 {
     const json::Value *value = object.find(key);
     if (!value)
         return nullptr;
-    constexpr double maximum = 9007199254740992.0; // 2^53
     if (value->isNumber()) {
         double number = value->asNumber();
-        if (number >= static_cast<double>(minimum) && number <= maximum &&
+        if (number >= static_cast<double>(minimum) &&
+            number <= static_cast<double>(maximum) &&
             number == std::floor(number))
             return value;
     }
     out.error(*value, "out-of-range",
               "'" + std::string(key) + "' must be an integer in [" +
-                  std::to_string(minimum) + ", 2^53]");
+                  std::to_string(minimum) + ", " +
+                  (maximum == maxExactInteger ? "2^53"
+                                              : std::to_string(maximum)) +
+                  "]");
     return nullptr;
 }
 

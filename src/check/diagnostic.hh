@@ -195,17 +195,21 @@ void checkKnownFields(const json::Value &object,
                       const std::vector<std::string> &known,
                       const std::string &what, CheckResult &out);
 
+/** 2^53: the largest bound at which every JSON double is an integer. */
+inline constexpr long maxExactInteger = 9007199254740992L;
+
 /**
  * Check the integer member @p key of @p object, when present: it must
- * be a number with no fractional part in [@p minimum, 2^53]. Anything
- * else gets one located `out-of-range` error. 2^53 is the largest
- * bound at which every JSON double is still an exact integer, and it
- * keeps loaders' `long`/`size_t` conversions defined.
+ * be a number with no fractional part in [@p minimum, @p maximum].
+ * Anything else gets one located `out-of-range` error. The default
+ * bound, 2^53, keeps loaders' `long`/`size_t` conversions defined; a
+ * field loaded into an `int` passes INT_MAX.
  * @return the member when it is present and valid, nullptr otherwise.
  */
 const json::Value *checkIntegerField(const json::Value &object,
                                      const char *key, long minimum,
-                                     CheckResult &out);
+                                     CheckResult &out,
+                                     long maximum = maxExactInteger);
 
 } // namespace check
 } // namespace sharp

@@ -117,11 +117,24 @@ synopsis(const Form &form)
     std::string line = form.command;
     if (*form.operands)
         line += std::string(" ") + form.operands;
-    if (*form.selector) {
-        line += std::string(" --") + form.selector + " " +
-                findFlag(form, form.selector)->value;
-    }
+    if (const Flag *selector = findFlag(form, form.selector))
+        line += std::string(" --") + form.selector + " " + selector->value;
     return line;
+}
+
+/**
+ * True when @p args pick @p form by its selector: that flag, or that
+ * first operand (any, for a placeholder such as `PROBE` for `probe`).
+ */
+bool
+picks(const ParsedArgs &args, const Form &form)
+{
+    if (findFlag(form, form.selector))
+        return args.has(form.selector);
+    if (args.positional.empty())
+        return false;
+    bool literal = util::startsWith(form.operands, form.selector);
+    return !literal || args.positional[0] == form.selector;
 }
 
 /** Write @p label, then @p text from column 31 on. */
@@ -441,6 +454,7 @@ cmdRun(const ParsedArgs &args, std::ostream &out, std::ostream &err)
     readRuleFlags(args, spec.experiment);
     args.count("day", spec.day);
     args.count("seed", spec.seed);
+    spec.experiment.seed = spec.seed; // as ReproSpec::fromJson sets it
     args.count("concurrency", spec.concurrency);
     args.count("max", spec.experiment.options.maxSamples);
     std::string label = scenario_path.empty() ?
@@ -477,8 +491,13 @@ int
 cmdReproduce(const ParsedArgs &args, std::ostream &out,
              std::ostream &err)
 {
+    const std::string &path = args.positional[0];
+    check::CheckResult findings;
+    findings.setArtifact(path);
     record::MetadataDocument doc =
-        record::MetadataDocument::load(args.positional[0]);
+        record::MetadataDocument::parse(util::readFileText(path), findings);
+    launcher::ReproSpec spec =
+        launcher::reproSpecFromMetadata(doc, std::move(findings));
     // Decisions are bitwise backend-invariant by the simd kernel
     // contract, so a backend mismatch is a provenance note, not an
     // error: surface it for anyone chasing a timing difference.
@@ -493,9 +512,7 @@ cmdReproduce(const ParsedArgs &args, std::ostream &out,
                    "may differ\n";
         }
     }
-    launcher::LaunchReport result =
-        launcher::runCampaign(launcher::reproSpecFromMetadata(doc))
-            .report;
+    launcher::LaunchReport result = launcher::runCampaign(spec).report;
     out << "reproduced " << result.series.size() << " samples ("
         << result.finalDecision.reason << ")\n";
     auto analysis = report::DistributionReport::analyze(
@@ -663,17 +680,19 @@ cmdCompare(const ParsedArgs &args, std::ostream &out, std::ostream &err)
 }
 
 int
-cmdMicro(const ParsedArgs &args, std::ostream &out, std::ostream &)
+cmdMicro(const ParsedArgs &, std::ostream &out, std::ostream &)
 {
-    if (args.positional.empty()) {
-        util::TextTable table({"probe", "measures", "unit"});
-        for (const auto &probe : micro::microRegistry())
-            table.addRow({probe.name, probe.description, probe.unit});
-        out << table.render();
-        out << "run one with: sharp micro <probe>\n";
-        return 0;
-    }
+    util::TextTable table({"probe", "measures", "unit"});
+    for (const auto &probe : micro::microRegistry())
+        table.addRow({probe.name, probe.description, probe.unit});
+    out << table.render();
+    out << "run one with: sharp micro <probe>\n";
+    return 0;
+}
 
+int
+cmdMicroProbe(const ParsedArgs &args, std::ostream &out, std::ostream &)
+{
     const auto &probe = micro::microByName(args.positional[0]);
     core::ExperimentConfig config;
     readRuleFlags(args, config);
@@ -994,64 +1013,83 @@ cmdServe(const ParsedArgs &args, std::ostream &out, std::ostream &err)
     return serve::runDaemon(options, out, err);
 }
 
-int
-cmdClient(const ParsedArgs &args, std::ostream &out, std::ostream &err)
+/** The daemon socket every `client` form needs. */
+std::string
+clientSocket(const ParsedArgs &args)
 {
     std::string socket = args.get("socket");
     if (socket.empty())
         throw UsageError("--socket is required");
-    const std::string &op = args.positional[0];
+    return socket;
+}
 
-    if (op == "wait") {
-        if (args.positional.size() < 2)
-            throw UsageError("wait needs a campaign id");
-        double timeout = 300.0;
-        args.number("timeout", timeout);
-        json::Value response = serve::waitForCampaign(
-            socket, args.positional[1], timeout);
-        out << json::writePretty(response) << "\n";
-        if (response.getBool("ok", false)) {
-            const json::Value *campaign = response.find("campaign");
-            std::string state =
-                campaign ? campaign->getString("state", "") : "";
-            return state == "done" ? 0 : 2;
-        }
-        return serve::clientExitCode(response);
-    }
-
-    json::Value request = json::Value::makeObject();
-    request.set("op", op);
-    if (op == "submit") {
-        if (args.positional.size() < 2)
-            throw UsageError("submit needs a spec file");
-        // A file that cannot be read is no daemon's doing: exit 2,
-        // not the retryable 1.
-        std::optional<json::Value> spec = loadSpecFile<json::Value>(
-            args.positional[1], [](const json::Value &doc) { return doc; },
-            err);
-        if (!spec)
-            return 2;
-        request.set("tenant", args.get("tenant", "default"));
-        request.set("spec", std::move(*spec));
-    } else if (op == "results" || op == "cancel") {
-        if (args.positional.size() < 2)
-            throw UsageError(op + " needs a campaign id");
-        request.set("id", args.positional[1]);
-    } else if (op == "status") {
-        if (args.positional.size() > 1)
-            request.set("id", args.positional[1]);
-    } else if (op != "drain" && op != "ping") {
-        throw UsageError("unknown operation '" + op + "'");
-    }
-
+/** Send @p message to the daemon at --socket and print its answer. */
+int
+sendRequest(const ParsedArgs &args, const json::Value &message,
+            std::ostream &out, std::ostream &err)
+{
+    std::string socket = clientSocket(args);
     json::Value response;
     try {
-        response = serve::clientRequest(socket, request);
+        response = serve::clientRequest(socket, message);
     } catch (const std::exception &problem) {
         err << "client: " << problem.what() << "\n";
         return 1; // unreachable daemon is retryable by definition
     }
     out << json::writePretty(response) << "\n";
+    return serve::clientExitCode(response);
+}
+
+int
+cmdClient(const ParsedArgs &args, std::ostream &out, std::ostream &err)
+{
+    const std::string &op = args.positional[0];
+    json::Value message = json::Value::makeObject();
+    message.set("op", op);
+    if (op == "results" || op == "cancel") {
+        if (args.positional.size() < 2)
+            throw UsageError(op + " needs a campaign id");
+        message.set("id", args.positional[1]);
+    } else if (op == "status") {
+        if (args.positional.size() > 1)
+            message.set("id", args.positional[1]);
+    } else if (op != "drain" && op != "ping") {
+        throw UsageError("unknown operation '" + op + "'");
+    }
+    return sendRequest(args, message, out, err);
+}
+
+int
+cmdClientSubmit(const ParsedArgs &args, std::ostream &out,
+                std::ostream &err)
+{
+    // A file that cannot be read is no daemon's doing: exit 2, not the
+    // retryable 1.
+    std::optional<json::Value> spec = loadSpecFile<json::Value>(
+        args.positional[1], [](const json::Value &doc) { return doc; },
+        err);
+    if (!spec)
+        return 2;
+    json::Value message = json::Value::makeObject();
+    message.set("op", "submit");
+    message.set("tenant", args.get("tenant", "default"));
+    message.set("spec", std::move(*spec));
+    return sendRequest(args, message, out, err);
+}
+
+int
+cmdClientWait(const ParsedArgs &args, std::ostream &out, std::ostream &)
+{
+    double timeout = 300.0;
+    args.number("timeout", timeout);
+    json::Value response = serve::waitForCampaign(
+        clientSocket(args), args.positional[1], timeout);
+    out << json::writePretty(response) << "\n";
+    if (response.getBool("ok", false)) {
+        const json::Value *campaign = response.find("campaign");
+        std::string state = campaign ? campaign->getString("state", "") : "";
+        return state == "done" ? 0 : 2;
+    }
     return serve::clientExitCode(response);
 }
 
@@ -1139,7 +1177,7 @@ selectForm(const ParsedArgs &args)
     for (const Form &form : forms()) {
         if (args.command != form.command)
             continue;
-        if (!chosen || (!*chosen->selector && args.has(form.selector)))
+        if (!chosen || (!*chosen->selector && picks(args, form)))
             chosen = &form;
         for (const Flag &flag : form.flags)
             known.push_back(std::string("--") + flag.name);
@@ -1197,6 +1235,8 @@ forms()
         {"fault", Text, "FILE.json", "inject FILE's seeded fault schedule"},
         {"journal", Text, "FILE", "append each round to FILE (see --resume)"},
     };
+    static const Flag socket = {"socket", Text, "PATH",
+                                "daemon socket (required)"};
     static const std::vector<Form> table = {
         {"list", "", "", "show benchmarks, machines, stopping rules",
          cmdList, {}},
@@ -1228,8 +1268,9 @@ forms()
                 {"retries", Count, "N", "retry failed runs in every entry"},
                 {"scenarios", Text, "DIR", "run DIR's scenarios instead"}},
                ruleFlags(5)})},
-        {"micro", "[PROBE]", "", "list or run microbenchmark probes",
-         cmdMicro,
+        {"micro", "", "", "list the microbenchmark probes", cmdMicro, {}},
+        {"micro", "PROBE", "probe", "run one microbenchmark probe",
+         cmdMicroProbe,
          join({{{"max", Count, "N", "sample cap (default 500)", 2},
                 {"jobs", Count, "N", "worker threads", 1}},
                ruleFlags(2)})},
@@ -1300,16 +1341,22 @@ forms()
           {"round-deadline", Number, "S", "heartbeat deadline (default 60)",
            0, Positive},
           {"max-failovers", Count, "N", "failovers before a campaign fails"}}},
-        {"client", "OP [ARG]", "", "talk to a daemon: submit SPEC.json,\n"
-                                   "status [ID], results ID, cancel ID,\n"
-                                   "drain, ping or wait ID\n"
-                                   "(exit: 0 ok, 1 retryable rejection or\n"
-                                   "unreachable daemon, 2 non-retryable)",
-         cmdClient,
-         {{"socket", Text, "PATH", "daemon socket (required)"},
-          {"tenant", Text, "NAME", "tenant of a submit (default default)"},
-          {"timeout", Number, "S", "seconds a wait polls (default 300)", 0,
-           Positive}}},
+        {"client", "OP [ID]", "", "talk to a daemon: status [ID],\n"
+                                  "results ID, cancel ID, drain or ping\n"
+                                  "(exit: 0 ok, 1 retryable rejection or\n"
+                                  "unreachable daemon, 2 non-retryable)",
+         cmdClient, {socket}},
+        {"client", "submit SPEC.json", "submit", "queue a campaign spec",
+         cmdClientSubmit,
+         join({{socket},
+               {{"tenant", Text, "NAME", "tenant (default default)"}}})},
+        {"client", "wait ID", "wait", "poll until the campaign ends\n"
+                                      "(exit: 0 done, 2 failed, cancelled\n"
+                                      "or not done in time)",
+         cmdClientWait,
+         join({{socket},
+               {{"timeout", Number, "S", "seconds to poll (default 300)", 0,
+                 Positive}}})},
         {"help", "", "", "this text", cmdHelp, {}},
     };
     return table;
@@ -1336,6 +1383,10 @@ runCli(const std::vector<std::string> &argv, std::ostream &out,
         err << (args.command.empty() ? "sharp" : args.command) << ": "
             << problem.what() << "\n";
         return 2;
+    } catch (const check::CheckFailure &failure) {
+        // A bad journal or metadata file, as `sharp check` reports it.
+        err << failure.result().renderText();
+        return 1;
     } catch (const std::exception &ex) {
         err << "error: " << ex.what() << "\n";
         return 1;

@@ -68,14 +68,18 @@ struct ParsedArgs;
 
 /**
  * One way to call a command. A command's first form is its default;
- * a later form takes over when its selector flag is given.
+ * a later form takes over when its selector is given: a flag, or the
+ * first operand (`client submit`).
  */
 struct Form
 {
     const char *command;
     /** Operands as help shows them; each one not in [] is required. */
     const char *operands;
-    /** The flag that picks this form; "" for the default form. */
+    /**
+     * The flag or first operand that picks this form ("probe" picks
+     * any `PROBE`); "" for the default form.
+     */
     const char *selector;
     /** Help beside the usage line; '\n' continues it below. */
     const char *summary;

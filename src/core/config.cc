@@ -108,38 +108,20 @@ ExperimentConfig::fromJson(const json::Value &doc)
     checkExperimentConfig(doc, findings);
     check::throwIfErrors(std::move(findings));
 
+    // The check above built the rule, so a bad name or parameter
+    // surfaces at parse time, not mid-experiment.
     ExperimentConfig config;
     config.ruleName = doc.getString("rule", config.ruleName);
-
     if (const json::Value *params = doc.find("params")) {
-        if (!params->isObject())
-            throw std::invalid_argument("'params' must be an object");
-        for (const auto &[key, value] : params->members()) {
-            if (!value.isNumber())
-                throw std::invalid_argument("rule parameter '" + key +
-                                            "' must be a number");
+        for (const auto &[key, value] : params->members())
             config.ruleParams[key] = value.asNumber();
-        }
     }
-
-    long warmup = doc.getLong("warmup", 0);
-    long min_samples =
-        doc.getLong("min", static_cast<long>(config.options.minSamples));
-    long max_samples =
-        doc.getLong("max", static_cast<long>(config.options.maxSamples));
-    if (warmup < 0 || min_samples < 1 || max_samples < min_samples) {
-        throw std::invalid_argument(
-            "invalid sampling bounds in experiment config");
-    }
-    config.options.warmupRuns = static_cast<size_t>(warmup);
-    config.options.minSamples = static_cast<size_t>(min_samples);
-    config.options.maxSamples = static_cast<size_t>(max_samples);
-
+    config.options.warmupRuns = static_cast<size_t>(doc.getLong("warmup", 0));
+    config.options.minSamples = static_cast<size_t>(doc.getLong(
+        "min", static_cast<long>(config.options.minSamples)));
+    config.options.maxSamples = static_cast<size_t>(doc.getLong(
+        "max", static_cast<long>(config.options.maxSamples)));
     config.seed = doc.getUint64("seed", 1);
-
-    // Validate the rule name and parameters eagerly so configuration
-    // errors surface at parse time, not mid-experiment.
-    config.makeRule();
     return config;
 }
 

@@ -108,6 +108,16 @@ Value::members() const
     return objValue;
 }
 
+void
+Value::moveToLine(uint32_t line, bool keepColumns)
+{
+    loc = Location{line, keepColumns ? loc.column : 0};
+    for (Value &item : arrValue)
+        item.moveToLine(line, keepColumns);
+    for (auto &member : objValue)
+        member.second.moveToLine(line, keepColumns);
+}
+
 size_t
 Value::size() const
 {

@@ -170,6 +170,12 @@ class Value
     /** Attach a source position (used by the parser). */
     void setLocation(Location location) { loc = location; }
 
+    /**
+     * Put this value and all inside it on line @p line of a larger
+     * text it was parsed out of, keeping or dropping their columns.
+     */
+    void moveToLine(uint32_t line, bool keepColumns);
+
   private:
     Type tag;
     Location loc;

@@ -152,7 +152,6 @@ FaultSpec::fromJson(const json::Value &doc)
     spec.slowFactor = doc.getNumber("slow_factor", spec.slowFactor);
     spec.slowMetric = doc.getString("slow_metric", spec.slowMetric);
     spec.seed = doc.getUint64("seed", 1);
-    spec.validate();
     return spec;
 }
 

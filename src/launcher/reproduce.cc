@@ -1,6 +1,7 @@
 #include "launcher/reproduce.hh"
 
 #include <algorithm>
+#include <climits>
 #include <stdexcept>
 
 #include "check/diagnostic.hh"
@@ -126,7 +127,7 @@ checkRunSpecImpl(const json::Value &doc, check::CheckResult &out,
     check::checkIntegerField(doc, "concurrency", 1, out);
     check::checkIntegerField(doc, "jobs", 1, out);
     check::checkIntegerField(doc, "max_failures", 0, out);
-    check::checkIntegerField(doc, "day", 0, out);
+    check::checkIntegerField(doc, "day", 0, out, INT_MAX);
     if (const json::Value *seed = doc.find("seed")) {
         try {
             doc.getUint64("seed", 1);
@@ -259,6 +260,93 @@ checkRunSpecImpl(const json::Value &doc, check::CheckResult &out,
     }
 }
 
+/**
+ * The tail of every run-spec loader: check @p doc into @p findings,
+ * which may hold earlier findings, throw on any error, and build.
+ */
+ReproSpec
+loadRunSpec(const json::Value &doc, check::CheckResult findings)
+{
+    checkRunSpecImpl(doc, findings, false);
+    check::throwIfErrors(std::move(findings));
+
+    ReproSpec spec;
+    spec.backendKind = doc.getString("backend", spec.backendKind);
+    spec.workload = doc.getString("workload", "");
+    spec.scenario = doc.getString("scenario", "");
+    if (const json::Value *argv = doc.find("argv")) {
+        for (const auto &arg : argv->asArray())
+            spec.argv.push_back(arg.asString());
+    }
+    spec.timeoutSeconds = doc.getNumber("timeout", spec.timeoutSeconds);
+    if (const json::Value *machines = doc.find("machines")) {
+        for (const auto &machine : machines->asArray())
+            spec.machines.push_back(machine.asString());
+    } else {
+        spec.machines = {"machine1"};
+    }
+    spec.day = static_cast<int>(doc.getLong("day", 0));
+    spec.seed = doc.getUint64("seed", 1);
+    spec.concurrency = static_cast<size_t>(doc.getLong("concurrency", 1));
+    spec.jobs = static_cast<size_t>(doc.getLong("jobs", 1));
+    if (const json::Value *experiment = doc.find("experiment"))
+        spec.experiment = core::ExperimentConfig::fromJson(*experiment);
+    spec.experiment.seed = spec.seed;
+    spec.maxFailures = static_cast<size_t>(doc.getLong(
+        "max_failures", static_cast<long>(spec.maxFailures)));
+    spec.maxFailureRate =
+        doc.getNumber("max_failure_rate", spec.maxFailureRate);
+    if (const json::Value *retry = doc.find("retry"))
+        spec.retry = RetryPolicy::fromJson(*retry);
+    if (const json::Value *fault = doc.find("fault")) {
+        spec.fault = FaultSpec::fromJson(*fault);
+        spec.faultEnabled = true;
+    }
+    return spec;
+}
+
+/** How a `repro_*` metadata entry encodes its spec member. */
+enum class Encoding
+{
+    Text, ///< the entry's text
+    Json, ///< the JSON document the text holds
+    List, ///< the strings of a `;`-separated list
+};
+
+/** One `repro_*` entry of a metadata Configuration section. */
+struct ReproEntry
+{
+    const char *entry;
+    const char *key;
+    Encoding encoding;
+    bool required;
+};
+
+/**
+ * Every entry annotate() writes, in its order, and one it wrote
+ * before: the one table of the metadata's reproduction section.
+ */
+const ReproEntry reproEntries[] = {
+    {"repro_backend", "backend", Encoding::Text, true},
+    {"repro_workload", "workload", Encoding::Text, true},
+    {"repro_scenario", "scenario", Encoding::Text, false},
+    {"repro_machines", "machines", Encoding::List, true},
+    {"repro_day", "day", Encoding::Json, true},
+    {"repro_seed", "seed", Encoding::Text, true},
+    {"repro_concurrency", "concurrency", Encoding::Json, true},
+    // Optional for metadata recorded before the parallel layer.
+    {"repro_jobs", "jobs", Encoding::Json, false},
+    {"repro_experiment", "experiment", Encoding::Json, true},
+    {"repro_argv", "argv", Encoding::Json, false},
+    {"repro_timeout", "timeout", Encoding::Json, false},
+    // Optional for metadata recorded before the fault-tolerance layer.
+    {"repro_max_failures", "max_failures", Encoding::Json, false},
+    {"repro_max_failure_rate", "max_failure_rate", Encoding::Json, false},
+    {"repro_retry", "retry", Encoding::Json, false},
+    {"repro_fault", "fault", Encoding::Json, false},
+    {"repro_stats_cache", "stats_cache", Encoding::Text, false},
+};
+
 } // anonymous namespace
 
 void
@@ -270,65 +358,7 @@ checkRunSpec(const json::Value &doc, check::CheckResult &out)
 ReproSpec
 ReproSpec::fromJson(const json::Value &doc)
 {
-    check::CheckResult findings;
-    checkRunSpecImpl(doc, findings, false);
-    check::throwIfErrors(std::move(findings));
-
-    ReproSpec spec;
-    spec.backendKind = doc.getString("backend", spec.backendKind);
-    spec.workload = doc.getString("workload", "");
-    spec.scenario = doc.getString("scenario", "");
-    if (const json::Value *argv = doc.find("argv")) {
-        if (!argv->isArray())
-            throw std::invalid_argument("'argv' must be an array");
-        for (const auto &arg : argv->asArray())
-            spec.argv.push_back(arg.asString());
-    }
-    spec.timeoutSeconds = doc.getNumber("timeout", spec.timeoutSeconds);
-    if (spec.timeoutSeconds < 0.0)
-        throw std::invalid_argument("timeout must be >= 0");
-    if (const json::Value *machines = doc.find("machines")) {
-        if (!machines->isArray())
-            throw std::invalid_argument("'machines' must be an array");
-        for (const auto &machine : machines->asArray())
-            spec.machines.push_back(machine.asString());
-    }
-    if (spec.machines.empty())
-        spec.machines = {"machine1"};
-
-    long day = doc.getLong("day", 0);
-    long concurrency = doc.getLong("concurrency", 1);
-    long jobs = doc.getLong("jobs", 1);
-    if (concurrency < 1)
-        throw std::invalid_argument("invalid concurrency");
-    if (jobs < 1)
-        throw std::invalid_argument("invalid jobs (must be >= 1)");
-    spec.day = static_cast<int>(day);
-    spec.seed = doc.getUint64("seed", 1);
-    spec.concurrency = static_cast<size_t>(concurrency);
-    spec.jobs = static_cast<size_t>(jobs);
-
-    if (const json::Value *experiment = doc.find("experiment"))
-        spec.experiment = core::ExperimentConfig::fromJson(*experiment);
-    spec.experiment.seed = spec.seed;
-
-    long maxFailures = doc.getLong("max_failures",
-                                   static_cast<long>(spec.maxFailures));
-    if (maxFailures < 0)
-        throw std::invalid_argument("max_failures must be >= 0");
-    spec.maxFailures = static_cast<size_t>(maxFailures);
-    spec.maxFailureRate =
-        doc.getNumber("max_failure_rate", spec.maxFailureRate);
-    if (spec.maxFailureRate <= 0.0 || spec.maxFailureRate > 1.0)
-        throw std::invalid_argument(
-            "max_failure_rate must be in (0, 1]");
-    if (const json::Value *retry = doc.find("retry"))
-        spec.retry = RetryPolicy::fromJson(*retry);
-    if (const json::Value *fault = doc.find("fault")) {
-        spec.fault = FaultSpec::fromJson(*fault);
-        spec.faultEnabled = true;
-    }
-    return spec;
+    return loadRunSpec(doc, {});
 }
 
 json::Value
@@ -370,38 +400,28 @@ ReproSpec::toJson() const
 void
 annotate(record::RunLog &log, const ReproSpec &spec)
 {
-    log.setConfigEntry("repro_backend", spec.backendKind);
-    log.setConfigEntry("repro_workload", spec.workload);
-    if (!spec.scenario.empty())
-        log.setConfigEntry("repro_scenario", spec.scenario);
-    log.setConfigEntry("repro_machines",
-                       util::join(spec.machines, ";"));
-    log.setConfigEntry("repro_day", std::to_string(spec.day));
-    log.setConfigEntry("repro_seed", std::to_string(spec.seed));
-    log.setConfigEntry("repro_concurrency",
-                       std::to_string(spec.concurrency));
-    log.setConfigEntry("repro_jobs", std::to_string(spec.jobs));
-    log.setConfigEntry("repro_experiment",
-                       json::write(spec.experiment.toJson()));
-    if (!spec.argv.empty()) {
-        json::Value argv_list = json::Value::makeArray();
-        for (const auto &arg : spec.argv)
-            argv_list.append(arg);
-        log.setConfigEntry("repro_argv", json::write(argv_list));
-        log.setConfigEntry("repro_timeout",
-                           util::formatDouble(spec.timeoutSeconds, 6));
+    // The entries reproSpecObject() reads back, in their encodings;
+    // numbers as the six-decimal text metadata has always carried.
+    json::Value doc = spec.toJson();
+    for (const ReproEntry &repro : reproEntries) {
+        const json::Value *value = doc.find(repro.key);
+        if (!value)
+            continue;
+        std::string text;
+        if (repro.encoding == Encoding::List) {
+            std::vector<std::string> items;
+            for (const auto &item : value->asArray())
+                items.push_back(item.asString());
+            text = util::join(items, ";");
+        } else if (value->isString()) {
+            text = value->asString();
+        } else if (value->isNumber()) {
+            text = util::formatDouble(value->asNumber(), 6);
+        } else {
+            text = json::write(*value);
+        }
+        log.setConfigEntry(repro.entry, text);
     }
-    log.setConfigEntry("repro_max_failures",
-                       std::to_string(spec.maxFailures));
-    if (spec.maxFailureRate < 1.0)
-        log.setConfigEntry("repro_max_failure_rate",
-                           util::formatDouble(spec.maxFailureRate, 6));
-    if (spec.retry.enabled())
-        log.setConfigEntry("repro_retry",
-                           json::write(spec.retry.toJson()));
-    if (spec.faultEnabled)
-        log.setConfigEntry("repro_fault",
-                           json::write(spec.fault.toJson()));
     // The dispatched SIMD backend is environment, not spec: decisions
     // are bitwise backend-invariant by the kernel contract, so this is
     // provenance for auditing, and `sharp reproduce` warns (not fails)
@@ -409,81 +429,62 @@ annotate(record::RunLog &log, const ReproSpec &spec)
     log.setConfigEntry("repro_simd_backend", simd::activeBackendName());
 }
 
-ReproSpec
-reproSpecFromMetadata(const record::MetadataDocument &doc)
+json::Value
+reproSpecObject(const record::MetadataDocument &doc,
+                check::CheckResult &out)
 {
-    const std::string sec = "Configuration";
-    auto require = [&](const std::string &key) {
-        auto value = doc.get(sec, key);
-        if (!value) {
-            throw std::invalid_argument(
-                "metadata lacks reproduction entry '" + key + "'");
+    const auto *section = doc.findSection("Configuration");
+    if (!section) {
+        out.error("missing-field",
+                  "metadata lacks a 'Configuration' section; `sharp "
+                  "reproduce` cannot rebuild the experiment");
+        return json::Value();
+    }
+    json::Value spec = json::Value::makeObject();
+    spec.setLocation({static_cast<uint32_t>(section->line), 0});
+    for (const ReproEntry &repro : reproEntries) {
+        const auto *entry = doc.findEntry(section->name, repro.entry);
+        if (!entry) {
+            if (repro.required) {
+                out.error(spec, "missing-field",
+                          "metadata lacks reproduction entry '" +
+                              std::string(repro.entry) + "'");
+            }
+            continue;
         }
-        return *value;
-    };
-
-    ReproSpec spec;
-    spec.backendKind = require("repro_backend");
-    spec.workload = require("repro_workload");
-    if (auto scenario = doc.get(sec, "repro_scenario"))
-        spec.scenario = *scenario;
-    for (const auto &machine :
-         util::split(require("repro_machines"), ';')) {
-        if (!machine.empty())
-            spec.machines.push_back(machine);
-    }
-    auto day = util::parseLong(require("repro_day"));
-    auto seed = util::parseUint64(require("repro_seed"));
-    auto concurrency = util::parseLong(require("repro_concurrency"));
-    if (!day || !seed || !concurrency || *concurrency < 1) {
-        throw std::invalid_argument(
-            "malformed numeric reproduction entries");
-    }
-    spec.day = static_cast<int>(*day);
-    spec.seed = *seed;
-    spec.concurrency = static_cast<size_t>(*concurrency);
-    // Optional for metadata recorded before the parallel layer.
-    if (auto jobs_entry = doc.get(sec, "repro_jobs")) {
-        auto jobs = util::parseLong(*jobs_entry);
-        if (!jobs || *jobs < 1)
-            throw std::invalid_argument("malformed repro_jobs entry");
-        spec.jobs = static_cast<size_t>(*jobs);
-    }
-    spec.experiment = core::ExperimentConfig::fromJson(
-        json::parse(require("repro_experiment")));
-    if (auto argv_entry = doc.get(sec, "repro_argv")) {
-        for (const auto &arg : json::parse(*argv_entry).asArray())
-            spec.argv.push_back(arg.asString());
-        if (auto timeout = doc.get(sec, "repro_timeout")) {
-            auto parsed = util::parseDouble(*timeout);
-            if (!parsed || *parsed < 0.0)
-                throw std::invalid_argument(
-                    "malformed repro_timeout entry");
-            spec.timeoutSeconds = *parsed;
+        json::Value value(entry->value);
+        if (repro.encoding == Encoding::Json) {
+            try {
+                value = json::parse(entry->value);
+            } catch (const json::ParseError &problem) {
+                out.report(check::Severity::Error,
+                           {static_cast<uint32_t>(entry->line), 0},
+                           "bad-metadata",
+                           "'" + entry->key + "' is not JSON: " +
+                               problem.what());
+                continue;
+            }
+        } else if (repro.encoding == Encoding::List) {
+            value = json::Value::makeArray();
+            for (const auto &item : util::split(entry->value, ';')) {
+                if (!item.empty())
+                    value.append(item);
+            }
         }
-    }
-    // Optional for metadata recorded before the fault-tolerance layer.
-    if (auto max_failures = doc.get(sec, "repro_max_failures")) {
-        auto parsed = util::parseLong(*max_failures);
-        if (!parsed || *parsed < 0)
-            throw std::invalid_argument(
-                "malformed repro_max_failures entry");
-        spec.maxFailures = static_cast<size_t>(*parsed);
-    }
-    if (auto rate = doc.get(sec, "repro_max_failure_rate")) {
-        auto parsed = util::parseDouble(*rate);
-        if (!parsed || *parsed <= 0.0 || *parsed > 1.0)
-            throw std::invalid_argument(
-                "malformed repro_max_failure_rate entry");
-        spec.maxFailureRate = *parsed;
-    }
-    if (auto retry = doc.get(sec, "repro_retry"))
-        spec.retry = RetryPolicy::fromJson(json::parse(*retry));
-    if (auto fault = doc.get(sec, "repro_fault")) {
-        spec.fault = FaultSpec::fromJson(json::parse(*fault));
-        spec.faultEnabled = true;
+        value.moveToLine(static_cast<uint32_t>(entry->line), false);
+        spec.set(repro.key, std::move(value));
     }
     return spec;
+}
+
+ReproSpec
+reproSpecFromMetadata(const record::MetadataDocument &doc,
+                      check::CheckResult findings)
+{
+    json::Value spec = reproSpecObject(doc, findings);
+    if (!findings.ok())
+        throw check::CheckFailure(std::move(findings));
+    return loadRunSpec(spec, std::move(findings));
 }
 
 namespace
@@ -559,7 +560,9 @@ runCampaign(const ReproSpec &spec, const CampaignIo &io)
     ResumedCampaign resumed;
     if (resuming) {
         resumed = loadResumedCampaign(io.journalPath);
-        run.spec = ReproSpec::fromJson(resumed.spec);
+        check::CheckResult findings;
+        findings.setArtifact(io.journalPath);
+        run.spec = loadRunSpec(resumed.spec, std::move(findings));
         run.replayed = resumed.done;
     }
     std::unique_ptr<record::RunJournal> journal;

@@ -9,7 +9,8 @@
  * A ReproSpec captures everything needed to re-run an experiment:
  * backend kind, workload, machines, day, seed, concurrency, and the
  * full stopping/sampling configuration. annotate() embeds it in a
- * RunLog's metadata and reproSpecFromMetadata() parses it back out.
+ * RunLog's metadata and reproSpecFromMetadata() parses it back out,
+ * both through one table of `repro_*` entries.
  * runCampaign() is the one way to run a spec — `sharp run`,
  * `sharp reproduce`, suites and serve workers all go through it. With
  * the simulated testbed the reproduction is bit-exact: same seed, same
@@ -25,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "check/diagnostic.hh"
 #include "core/config.hh"
 #include "json/value.hh"
 #include "launcher/backend.hh"
@@ -37,11 +39,6 @@
 
 namespace sharp
 {
-namespace check
-{
-class CheckResult;
-} // namespace check
-
 namespace launcher
 {
 
@@ -102,7 +99,9 @@ struct ReproSpec
      *   "experiment": {"rule": "ks", "params": {"threshold": 0.1},
      *                  "max": 1000}
      * }
-     * @throws std::invalid_argument on malformed documents.
+     * Without "machines" the spec runs on machine1.
+     * @throws check::CheckFailure (an std::invalid_argument) when
+     *         the structural part of checkRunSpec() finds an error.
      */
     static ReproSpec fromJson(const json::Value &doc);
 
@@ -136,11 +135,23 @@ inline constexpr const char *obsoleteStatsCacheMessage =
 void annotate(record::RunLog &log, const ReproSpec &spec);
 
 /**
- * Parse a spec back out of a metadata document.
- * @throws std::invalid_argument when the document lacks a
- *         Reproduction section or holds malformed entries.
+ * The run-spec object @p doc records: each `repro_*` entry of its
+ * Configuration section as its spec member (the text, JSON document
+ * or `;`-separated list it encodes), at the entry's line; the object
+ * at the section's. A missing section or required entry is a
+ * `missing-field` error, an entry that is not JSON `bad-metadata`.
  */
-ReproSpec reproSpecFromMetadata(const record::MetadataDocument &doc);
+json::Value reproSpecObject(const record::MetadataDocument &doc,
+                            check::CheckResult &out);
+
+/**
+ * Parse a spec back out of a metadata document: reproSpecObject(),
+ * then ReproSpec::fromJson()'s check and load. @p findings holds the
+ * markdown parse's findings and the artifact path.
+ * @throws check::CheckFailure when any finding is an error.
+ */
+ReproSpec reproSpecFromMetadata(const record::MetadataDocument &doc,
+                                check::CheckResult findings = {});
 
 /**
  * Build the backend a spec describes.

@@ -21,8 +21,7 @@ loadResumedCampaign(const std::string &journalPath)
     // valid prefix is known, so the resumed run's appends cannot fuse
     // onto it. Only after the spec check: a file that is not a SHARP
     // journal must never be truncated.
-    if (contents.truncated || !contents.terminated)
-        record::repairJournal(journalPath, contents);
+    record::repairJsonlTail(journalPath, contents);
     ResumedCampaign campaign;
     campaign.spec = std::move(contents.spec);
     campaign.state.records = std::move(contents.records);

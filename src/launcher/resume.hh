@@ -40,9 +40,9 @@ struct ResumedCampaign
  * mid-write) is discarded AND trimmed from the file on disk, so
  * reopening the journal in Resume mode appends on a clean line
  * boundary.
- * @throws std::runtime_error when the journal is unreadable,
- *         malformed beyond a torn trailing line, or lacks a spec
- *         header (nothing to rebuild the campaign from).
+ * @throws std::runtime_error when the journal is unreadable or lacks
+ *         a spec header (nothing to rebuild the campaign from), and
+ *         check::CheckFailure when record::readJournal() rejects it.
  */
 ResumedCampaign loadResumedCampaign(const std::string &journalPath);
 

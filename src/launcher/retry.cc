@@ -153,14 +153,10 @@ RetryPolicy::fromJson(const json::Value &doc)
         doc.getNumber("jitter", policy.jitterFraction);
     policy.jitterSeed = doc.getUint64("jitter_seed", policy.jitterSeed);
     if (const json::Value *kinds = doc.find("kinds")) {
-        if (!kinds->isArray())
-            throw std::invalid_argument(
-                "retry 'kinds' must be an array");
         for (const auto &kind : kinds->asArray())
             policy.retryableKinds.push_back(
                 record::failureKindFromName(kind.asString()));
     }
-    policy.validate();
     return policy;
 }
 

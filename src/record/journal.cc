@@ -4,12 +4,14 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cmath>
 #include <cstring>
 #include <stdexcept>
 
 #include "check/diagnostic.hh"
 #include "json/parser.hh"
 #include "json/writer.hh"
+#include "util/fs.hh"
 #include "util/string_utils.hh"
 
 namespace sharp
@@ -30,11 +32,8 @@ RunJournal::RunJournal(std::string path_in, JournalMode mode)
     // could make it worse.
     if (mode == JournalMode::Resume) {
         struct stat st = {};
-        if (::stat(filePath.c_str(), &st) == 0 && st.st_size > 0) {
-            JournalContents contents = readJournal(filePath);
-            if (contents.truncated || !contents.terminated)
-                repairJournal(filePath, contents);
-        }
+        if (::stat(filePath.c_str(), &st) == 0 && st.st_size > 0)
+            repairJsonlTail(filePath, readJournal(filePath));
     }
     file = std::fopen(filePath.c_str(),
                       mode == JournalMode::Resume ? "ab" : "wb");
@@ -149,113 +148,29 @@ recordFromJson(const json::Value &doc)
     return record;
 }
 
-JournalContents
-readJournal(const std::string &path)
+JsonlText
+frameJsonl(const std::string &text, const JsonlFormat &format,
+           check::CheckResult &out,
+           const std::function<void(const json::Value &)> &visit)
 {
-    std::FILE *in = std::fopen(path.c_str(), "rb");
-    if (!in) {
-        throw std::runtime_error("cannot read journal '" + path +
-                                 "': " + std::strerror(errno));
+    JsonlText framed;
+    const std::string name = format.name;
+    std::vector<std::string> lines = util::split(text, '\n');
+    // A healthy file ends with a newline, so its final fields are
+    // empty; the last non-empty one is the only line a crash can tear.
+    size_t last = lines.size();
+    while (last > 0 && lines[last - 1].empty())
+        --last;
+    if (last == 0) {
+        framed.empty = true;
+        out.warning("empty-" + name,
+                    std::string(format.title) + " holds no lines");
+        return framed;
     }
-    std::string text;
-    char buf[4096];
-    size_t got;
-    while ((got = std::fread(buf, 1, sizeof(buf), in)) > 0)
-        text.append(buf, got);
-    std::fclose(in);
-
-    JournalContents contents;
-    auto lines = util::split(text, '\n');
-    // A healthy journal ends with a newline, so the final split field
-    // is empty; anything else is a torn trailing line.
-    size_t last_nonempty = lines.size();
-    for (size_t i = lines.size(); i-- > 0;) {
-        if (!lines[i].empty()) {
-            last_nonempty = i;
-            break;
-        }
-    }
-    size_t offset = 0;
-    for (size_t i = 0; i < lines.size(); ++i) {
+    for (size_t i = 0, start = 0; i < last;
+         start += lines[i++].size() + 1) {
         const std::string &line = lines[i];
-        size_t start = offset;
-        offset += line.size() + 1; // +1 for the '\n' split consumed
-        if (line.empty())
-            continue;
-        bool last = i == last_nonempty;
-        json::Value doc;
-        try {
-            doc = json::parse(line);
-        } catch (const std::exception &) {
-            if (last) {
-                contents.truncated = true;
-                break;
-            }
-            throw std::runtime_error(
-                "malformed journal line " + std::to_string(i + 1) +
-                " in '" + path + "'");
-        }
-        bool has_newline = start + line.size() < text.size();
-        contents.validBytes = start + line.size() + (has_newline ? 1 : 0);
-        contents.terminated = has_newline;
-        std::string type = doc.getString("type", "");
-        if (type == "spec") {
-            if (const json::Value *spec = doc.find("spec"))
-                contents.spec = *spec;
-        } else if (type == "round") {
-            ++contents.rounds;
-            if (doc.getBool("warmup", false))
-                ++contents.warmupRounds;
-            if (const json::Value *records = doc.find("records")) {
-                for (const auto &entry : records->asArray())
-                    contents.records.push_back(recordFromJson(entry));
-            }
-        } else if (type == "done") {
-            contents.done = true;
-        } else {
-            throw std::runtime_error("unknown journal line type '" +
-                                     type + "' in '" + path + "'");
-        }
-    }
-    return contents;
-}
-
-void
-checkJournalText(const std::string &text, check::CheckResult &out)
-{
-    // Lightweight view of the spec line, for cross-line lints.
-    std::string spec_workload;
-    std::string spec_backend;
-    long spec_min = -1;
-    long spec_max = -1;
-    bool have_spec = false;
-
-    bool done = false;
-    long last_run = -1;
-    size_t measured_rounds = 0;
-
-    auto lines = util::split(text, '\n');
-    size_t last_nonempty = lines.size();
-    for (size_t i = lines.size(); i-- > 0;) {
-        if (!lines[i].empty()) {
-            last_nonempty = i;
-            break;
-        }
-    }
-    if (last_nonempty == lines.size()) {
-        out.warning("empty-journal", "journal holds no lines");
-        return;
-    }
-
-    auto locate = [](size_t line_index, const json::Value &value) {
-        // Journal lines are parsed one at a time, so a value's own
-        // line is always 1; the journal line number is the authority.
-        return json::Location{static_cast<uint32_t>(line_index + 1),
-                              value.location().column};
-    };
-
-    for (size_t i = 0; i < lines.size(); ++i) {
-        const std::string &line = lines[i];
+        size_t end = start + line.size();
         if (line.empty())
             continue;
         json::Location whole_line{static_cast<uint32_t>(i + 1), 1};
@@ -263,157 +178,216 @@ checkJournalText(const std::string &text, check::CheckResult &out)
         try {
             doc = json::parse(line);
         } catch (const std::exception &problem) {
-            if (i == last_nonempty) {
+            if (i + 1 == last) {
+                framed.truncated = true;
                 out.report(Severity::Warning, whole_line,
-                           "truncated-journal",
-                           "torn trailing line (crash mid-write); the "
-                           "reader discards it",
-                           "run `sharp run --resume` to repair and "
-                           "continue the campaign");
+                           "truncated-" + name, format.torn,
+                           format.tornHint);
             } else {
-                out.report(Severity::Error, whole_line, "journal-syntax",
-                           std::string("malformed journal line: ") +
+                out.report(Severity::Error, whole_line, name + "-syntax",
+                           "malformed " + name + " line: " +
                                problem.what());
             }
             continue;
         }
+        framed.terminated = end < text.size();
+        framed.validBytes = end + (framed.terminated ? 1 : 0);
         if (!doc.isObject()) {
-            out.report(Severity::Error, whole_line, "journal-syntax",
-                       "journal line must be a JSON object");
+            out.report(Severity::Error, whole_line, name + "-syntax",
+                       name + " line must be a JSON object");
             continue;
         }
+        doc.moveToLine(whole_line.line, true);
+        visit(doc);
+    }
+    return framed;
+}
+
+namespace
+{
+
+/** @p object's member @p key when it is a count in [0, 2^53], else -1. */
+long
+countOr(const json::Value &object, const char *key)
+{
+    double value = object.getNumber(key, -1.0);
+    bool count = value >= 0.0 &&
+                 value <= static_cast<double>(check::maxExactInteger) &&
+                 value == std::floor(value);
+    return count ? static_cast<long>(value) : -1;
+}
+
+/**
+ * Check one journaled record against @p spec, the journal's header
+ * (null before it).
+ * @return true when it has no error, so it folds.
+ */
+bool
+checkRecord(const json::Value &entry, const json::Value &spec,
+            check::CheckResult &out)
+{
+    if (!entry.isObject()) {
+        out.error(entry, "wrong-type", "journal record must be an object");
+        return false;
+    }
+    bool folds = true;
+    auto fail = [&](const json::Value &where, const char *rule,
+                    const std::string &message) {
+        out.error(where, rule, message);
+        folds = false;
+    };
+    for (const char *key : {"run", "instance", "attempt", "day"}) {
+        if (entry.find(key) && !check::checkIntegerField(entry, key, 0, out))
+            folds = false;
+    }
+    std::string failure = entry.getString("failure", "none");
+    try {
+        failureKindFromName(failure);
+    } catch (const std::invalid_argument &) {
+        fail(entry, "unknown-name", "unknown failure kind '" + failure + "'");
+    }
+    std::string spec_workload =
+        spec.isObject() ? spec.getString("workload", "") : "";
+    std::string spec_backend =
+        spec.isObject() ? spec.getString("backend", "") : "";
+    // A scenario backend names its records itself: after the scenario,
+    // or after the campaign its trace recorded.
+    std::string workload = entry.getString("workload", "");
+    if (!spec_workload.empty() && spec_backend != "scenario" &&
+        workload != spec_workload) {
+        fail(entry, "journal-spec-mismatch",
+             "record workload '" + workload +
+                 "' disagrees with the journaled spec ('" + spec_workload +
+                 "')");
+    }
+    // Fault injection decorates the backend name ("fault+sim")
+    // without changing the spec it runs.
+    std::string backend = entry.getString("backend", "");
+    if (backend == "fault+" + spec_backend)
+        backend = spec_backend;
+    if (!spec_backend.empty() && spec_backend != "scenario" &&
+        !backend.empty() && backend != spec_backend) {
+        fail(entry, "journal-spec-mismatch",
+             "record backend '" + backend +
+                 "' disagrees with the journaled spec ('" + spec_backend +
+                 "')");
+    }
+    if (const json::Value *metrics = entry.find("metrics")) {
+        if (!metrics->isObject()) {
+            fail(*metrics, "wrong-type", "'metrics' must be an object");
+            return false;
+        }
+        for (const auto &[name, value] : metrics->members()) {
+            if (!value.isNumber())
+                fail(value, "wrong-type",
+                     "metric '" + name + "' must be a number");
+        }
+    }
+    return folds;
+}
+
+} // anonymous namespace
+
+JournalContents
+walkJournal(const std::string &text, check::CheckResult &out)
+{
+    static const JsonlFormat format = {
+        "journal", "journal",
+        "torn trailing line (crash mid-write); the reader discards it",
+        "run `sharp run --resume` to repair and continue the campaign"};
+    JournalContents contents;
+    long spec_min = -1;
+    long spec_max = -1;
+    long last_run = -1;
+    size_t measured_rounds = 0;
+    auto visit = [&](const json::Value &doc) {
+        json::Location whole_line{doc.location().line, 1};
         std::string type = doc.getString("type", "");
         if (type == "spec") {
-            if (have_spec) {
+            if (!contents.spec.isNull()) {
                 out.report(Severity::Error, whole_line, "journal-order",
                            "duplicate spec line; a journal describes "
                            "exactly one campaign");
-                continue;
+                return;
             }
-            if (i != 0) {
+            if (whole_line.line != 1) {
                 out.report(Severity::Warning, whole_line,
                            "journal-order",
                            "spec line is not the first line");
             }
-            const json::Value *spec = doc.find("spec");
-            if (!spec || !spec->isObject()) {
+            const json::Value *header = doc.find("spec");
+            if (!header || !header->isObject()) {
                 out.report(Severity::Error, whole_line, "missing-field",
                            "spec line lacks a 'spec' object");
-                continue;
+                return;
             }
-            have_spec = true;
-            spec_workload = spec->getString("workload", "");
-            spec_backend = spec->getString("backend", "");
-            if (const json::Value *experiment =
-                    spec->find("experiment")) {
-                spec_min = experiment->getLong("min", -1);
-                spec_max = experiment->getLong("max", -1);
+            const json::Value *experiment = header->find("experiment");
+            if (experiment && experiment->isObject()) {
+                spec_min = countOr(*experiment, "min");
+                spec_max = countOr(*experiment, "max");
             }
+            contents.spec = *header;
         } else if (type == "round") {
-            if (done) {
+            if (contents.done) {
                 out.report(Severity::Error, whole_line, "journal-order",
                            "round recorded after the done marker");
             }
-            bool warmup = doc.getBool("warmup", false);
-            if (!warmup)
+            ++contents.rounds;
+            if (doc.getBool("warmup", false))
+                ++contents.warmupRounds;
+            else
                 ++measured_rounds;
-            long run = doc.getLong("run", -1);
-            if (run >= 0 && run <= last_run) {
-                out.report(
-                    Severity::Warning, whole_line, "journal-order",
-                    "run index " + std::to_string(run) +
-                        " does not advance past the previous round (" +
-                        std::to_string(last_run) + ")");
-            }
-            if (run >= 0)
+            if (check::checkIntegerField(doc, "run", 0, out)) {
+                long run = countOr(doc, "run");
+                if (run <= last_run) {
+                    out.report(Severity::Warning, whole_line,
+                               "journal-order",
+                               "run index " + std::to_string(run) +
+                                   " does not advance past the previous "
+                                   "round (" +
+                                   std::to_string(last_run) + ")");
+                }
                 last_run = run;
+            }
             const json::Value *records = doc.find("records");
             if (!records || !records->isArray()) {
                 out.report(Severity::Error, whole_line, "missing-field",
                            "round line lacks a 'records' array");
-                continue;
+                return;
             }
-            for (const auto &entry : records->asArray()) {
-                if (!entry.isObject()) {
-                    out.report(Severity::Error, locate(i, entry),
-                               "wrong-type",
-                               "journal record must be an object");
-                    continue;
-                }
-                std::string failure =
-                    entry.getString("failure", "none");
-                try {
-                    failureKindFromName(failure);
-                } catch (const std::invalid_argument &) {
-                    out.report(Severity::Error, locate(i, entry),
-                               "unknown-name",
-                               "unknown failure kind '" + failure +
-                                   "'");
-                }
-                std::string workload = entry.getString("workload", "");
-                if (have_spec && !spec_workload.empty() &&
-                    workload != spec_workload) {
-                    out.report(Severity::Error, locate(i, entry),
-                               "journal-spec-mismatch",
-                               "record workload '" + workload +
-                                   "' disagrees with the journaled "
-                                   "spec ('" +
-                                   spec_workload + "')");
-                }
-                // Fault injection decorates the backend name
-                // ("fault+sim") without changing the spec it runs.
-                std::string backend = entry.getString("backend", "");
-                if (backend == "fault+" + spec_backend)
-                    backend = spec_backend;
-                if (have_spec && !spec_backend.empty() &&
-                    !backend.empty() && backend != spec_backend) {
-                    out.report(Severity::Error, locate(i, entry),
-                               "journal-spec-mismatch",
-                               "record backend '" + backend +
-                                   "' disagrees with the journaled "
-                                   "spec ('" +
-                                   spec_backend + "')");
-                }
-                if (const json::Value *metrics =
-                        entry.find("metrics")) {
-                    for (const auto &[name, value] :
-                         metrics->members()) {
-                        if (!value.isNumber()) {
-                            out.report(Severity::Error,
-                                       locate(i, value), "wrong-type",
-                                       "metric '" + name +
-                                           "' must be a number");
-                        }
-                    }
-                }
+            for (const json::Value &entry : records->asArray()) {
+                if (checkRecord(entry, contents.spec, out))
+                    contents.records.push_back(recordFromJson(entry));
             }
         } else if (type == "done") {
-            if (done) {
+            if (contents.done) {
                 out.report(Severity::Warning, whole_line,
                            "journal-order", "duplicate done marker");
             }
-            done = true;
+            contents.done = true;
         } else {
             out.report(Severity::Error, whole_line, "journal-type",
                        "unknown journal line type '" + type + "'");
         }
-    }
+    };
+    static_cast<JsonlText &>(contents) =
+        frameJsonl(text, format, out, visit);
+    if (contents.empty)
+        return contents;
 
-    if (!have_spec) {
+    if (contents.spec.isNull()) {
         out.warning("missing-spec",
                     "journal has no spec line; `sharp run --resume` "
                     "cannot rebuild the experiment from it");
     }
-    if (spec_max > 0 &&
-        measured_rounds > static_cast<size_t>(spec_max)) {
+    if (spec_max > 0 && measured_rounds > static_cast<size_t>(spec_max)) {
         out.warning("journal-overrun",
-                    "journal holds " +
-                        std::to_string(measured_rounds) +
+                    "journal holds " + std::to_string(measured_rounds) +
                         " measured rounds but the spec caps the "
                         "experiment at " +
                         std::to_string(spec_max));
     }
-    if (done && spec_min > 0 &&
+    if (contents.done && spec_min > 0 &&
         measured_rounds < static_cast<size_t>(spec_min)) {
         out.warning("journal-underrun",
                     "journal finished with " +
@@ -421,27 +395,32 @@ checkJournalText(const std::string &text, check::CheckResult &out)
                         " measured rounds, below the spec minimum of " +
                         std::to_string(spec_min));
     }
+    return contents;
 }
 
-void
-repairJournal(const std::string &path, const JournalContents &contents)
+JournalContents
+readJournal(const std::string &path)
 {
-    repairJsonlTail(path, contents.validBytes, contents.terminated);
+    check::CheckResult findings;
+    findings.setArtifact(path);
+    JournalContents contents =
+        walkJournal(util::readFileText(path), findings);
+    check::throwIfErrors(std::move(findings));
+    return contents;
 }
 
 void
-repairJsonlTail(const std::string &path, size_t validBytes,
-                bool terminated)
+repairJsonlTail(const std::string &path, const JsonlText &text)
 {
     struct stat st = {};
     bool oversized = ::stat(path.c_str(), &st) == 0 &&
-                     static_cast<size_t>(st.st_size) > validBytes;
+                     static_cast<size_t>(st.st_size) > text.validBytes;
     if (oversized &&
-        ::truncate(path.c_str(), static_cast<off_t>(validBytes)) != 0) {
+        ::truncate(path.c_str(), static_cast<off_t>(text.validBytes)) != 0) {
         throw std::runtime_error("cannot trim torn journal '" + path +
                                  "': " + std::strerror(errno));
     }
-    if (terminated)
+    if (text.terminated)
         return;
     // The last valid line lost its newline (crash between the write
     // and the terminator); supply it so appends start a fresh line.

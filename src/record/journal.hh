@@ -12,15 +12,18 @@
  * every round whose append returned — the unit of loss is at most the
  * round in flight.
  *
- * The reader tolerates a torn trailing line (a crash mid-write) by
- * discarding it, which is what makes `sharp run --resume` safe to
- * point at the journal of a killed process.
+ * One walk reads the file back, for `--resume`, trace replay, baseline
+ * capture and `sharp check` alike. It tolerates a torn trailing line
+ * (a crash mid-write) by discarding it, which is what makes
+ * `sharp run --resume` safe to point at the journal of a killed
+ * process.
  */
 
 #ifndef SHARP_RECORD_JOURNAL_HH
 #define SHARP_RECORD_JOURNAL_HH
 
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -91,8 +94,60 @@ class RunJournal
     std::FILE *file = nullptr;
 };
 
+/**
+ * How one JSONL format names its framing findings: the line noun and
+ * rule stem ("queue"), the artifact ("queue journal"), and the
+ * torn-tail warning with its repair hint.
+ */
+struct JsonlFormat
+{
+    const char *name;
+    const char *title;
+    const char *torn;
+    const char *tornHint;
+};
+
+/** What framing found about a JSONL text as a whole. */
+struct JsonlText
+{
+    /** True when the text holds no line at all. */
+    bool empty = false;
+    /** True when a torn trailing line was discarded. */
+    bool truncated = false;
+    /**
+     * Bytes up to the end of the last parsed line (and its newline,
+     * when present), where appends must start: repairJsonlTail().
+     */
+    size_t validBytes = 0;
+    /** True when the valid prefix ends with a newline. */
+    bool terminated = true;
+};
+
+/**
+ * The one JSONL framing, under every journal walk: split @p text into
+ * numbered lines, parse each, and hand each object to @p visit,
+ * located at its line, in order. An unparsable final line is a torn
+ * tail (crash mid-write), reported as a `truncated-<name>` warning;
+ * any other unparsable line, or one that is not an object, is a
+ * `<name>-syntax` error; an empty text is an `empty-<name>` warning.
+ * Findings are appended to @p out in line order, among @p visit's.
+ */
+JsonlText frameJsonl(const std::string &text, const JsonlFormat &format,
+                     check::CheckResult &out,
+                     const std::function<void(const json::Value &)> &visit);
+
+/**
+ * Make @p path safe to append to after a crash: cut it back to
+ * @p text.validBytes (a torn fragment would fuse with the next line)
+ * and supply a missing final newline; a clean file is untouched.
+ * RunJournal's Resume mode and QueueJournal run it on every open, so
+ * `--resume`, daemon failover and restart all repair alike.
+ * @throws std::runtime_error when the file cannot be modified.
+ */
+void repairJsonlTail(const std::string &path, const JsonlText &text);
+
 /** Everything a journal file holds, parsed back. */
-struct JournalContents
+struct JournalContents : JsonlText
 {
     /** The reproduction spec from the header line (null if absent). */
     json::Value spec;
@@ -104,42 +159,31 @@ struct JournalContents
     size_t warmupRounds = 0;
     /** True when the clean-completion marker is present. */
     bool done = false;
-    /** True when a torn trailing line was discarded. */
-    bool truncated = false;
-    /**
-     * Byte length of the valid prefix: everything up to and including
-     * the last parsed line (and its newline, when present). Appending
-     * must happen at this offset — see repairJournal().
-     */
-    size_t validBytes = 0;
-    /** True when the valid prefix ends with a newline. */
-    bool terminated = true;
 };
 
 /**
- * Read a journal written by RunJournal. A torn trailing line (crash
- * mid-write) is discarded and flagged rather than treated as an error.
- * @throws std::runtime_error when the file cannot be read or a
- *         non-trailing line is malformed.
+ * The one reader of run-journal text: each line is parsed once, its
+ * findings go to @p out at their line and column, and the lines fold
+ * into the contents (a record with an error is left out). Errors,
+ * which make readJournal() throw: malformed lines but the last, a line
+ * of no known type, a second spec line, a round after the done marker
+ * or without `records`, and a record that is not an object, has a bad
+ * index, failure kind or metric, or names another workload or backend
+ * than the spec (`fault+sim` is `sim`; a `scenario` spec's records
+ * name their scenario or trace). Warnings never throw: a torn last
+ * line, no spec line, disordered runs, and rounds outside the spec's
+ * bounds. The spec's own lint is `sharp check`'s.
  */
-JournalContents readJournal(const std::string &path);
+JournalContents walkJournal(const std::string &text,
+                            check::CheckResult &out);
 
 /**
- * Make @p path safe to append to: drop a torn trailing fragment (a
- * crash mid-write) by truncating the file to @p contents.validBytes,
- * and terminate an unterminated final line with a newline. Without
- * this, the first appended line after a resume would fuse onto the
- * fragment into one malformed line, leaving the journal unresumable.
- * A clean journal is left untouched.
- *
- * Callers rarely need to invoke this directly: RunJournal's Resume
- * mode repairs the tail itself before appending, so every journal
- * open — CLI `--resume`, daemon failover, restart after a crash —
- * goes through the same repair no matter who opens the file.
- * @throws std::runtime_error when the file cannot be modified.
+ * Read the journal at @p path: walkJournal() plus
+ * check::throwIfErrors(), with @p path on every finding.
+ * @throws std::runtime_error when the file cannot be read, and
+ *         check::CheckFailure when the walk finds an error.
  */
-void repairJournal(const std::string &path,
-                   const JournalContents &contents);
+JournalContents readJournal(const std::string &path);
 
 /**
  * The one JSONL append path: write @p line plus its newline to
@@ -155,35 +199,11 @@ void repairJournal(const std::string &path,
 void appendJsonlLine(std::FILE *file, const std::string &line,
                      const std::string &what);
 
-/**
- * The format-agnostic tail repair under repairJournal(): truncate
- * @p path to @p validBytes when the file has grown past it (a torn
- * trailing fragment), then append the missing final newline when
- * @p terminated is false. Shared by every JSONL artifact that appends
- * after a crash (run journals, the daemon's campaign queue).
- * @throws std::runtime_error when the file cannot be modified.
- */
-void repairJsonlTail(const std::string &path, size_t validBytes,
-                     bool terminated);
-
 /** Serialize one record to its journal JSON object (round-trips). */
 json::Value recordToJson(const RunRecord &record);
 
 /** Parse a record serialized by recordToJson(). */
 RunRecord recordFromJson(const json::Value &doc);
-
-/**
- * Static analysis of journal text (the JSONL file contents): per-line
- * syntax diagnostics, lifecycle-order problems (rounds after the done
- * marker, duplicate spec lines, non-monotonic run indices), records
- * that disagree with the journaled spec (wrong workload or backend),
- * and round counts outside the spec's sampling bounds. A torn
- * trailing line is a warning — the reader discards it and resume
- * repairs it — while any other malformed line is an error. Line
- * numbers in the diagnostics are 1-based journal lines. Never throws;
- * findings are appended to @p out.
- */
-void checkJournalText(const std::string &text, check::CheckResult &out);
 
 } // namespace record
 } // namespace sharp

@@ -4,6 +4,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "check/diagnostic.hh"
 #include "util/string_utils.hh"
 
 namespace sharp
@@ -41,12 +42,12 @@ MetadataDocument::set(const std::string &section, const std::string &key,
 {
     Section &sec = sectionByName(section);
     for (auto &entry : sec.entries) {
-        if (entry.first == key) {
-            entry.second = value;
+        if (entry.key == key) {
+            entry.value = value;
             return;
         }
     }
-    sec.entries.emplace_back(key, value);
+    sec.entries.push_back(Entry{key, value});
 }
 
 void
@@ -65,7 +66,7 @@ MetadataDocument::remove(const std::string &section,
             continue;
         for (auto it = sec.entries.begin(); it != sec.entries.end();
              ++it) {
-            if (it->first == key) {
+            if (it->key == key) {
                 sec.entries.erase(it);
                 return true;
             }
@@ -74,18 +75,28 @@ MetadataDocument::remove(const std::string &section,
     return false;
 }
 
+const MetadataDocument::Entry *
+MetadataDocument::findEntry(const std::string &section,
+                            const std::string &key) const
+{
+    const Section *sec = findSection(section);
+    if (!sec)
+        return nullptr;
+    for (const auto &entry : sec->entries) {
+        if (entry.key == key)
+            return &entry;
+    }
+    return nullptr;
+}
+
 std::optional<std::string>
 MetadataDocument::get(const std::string &section,
                       const std::string &key) const
 {
-    const Section *sec = findSection(section);
-    if (!sec)
+    const Entry *entry = findEntry(section, key);
+    if (!entry)
         return std::nullopt;
-    for (const auto &entry : sec->entries) {
-        if (entry.first == key)
-            return entry.second;
-    }
-    return std::nullopt;
+    return entry->value;
 }
 
 std::optional<double>
@@ -112,8 +123,8 @@ MetadataDocument::render() const
         out += "# " + title + "\n\n";
     for (const auto &section : sectionList) {
         out += "## " + section.name + "\n\n";
-        for (const auto &[key, value] : section.entries)
-            out += "- **" + key + "**: " + value + "\n";
+        for (const Entry &entry : section.entries)
+            out += "- **" + entry.key + "**: " + entry.value + "\n";
         out += "\n";
     }
     return out;
@@ -132,7 +143,7 @@ MetadataDocument::save(const std::string &path) const
 }
 
 MetadataDocument
-MetadataDocument::parse(const std::string &text)
+MetadataDocument::parse(const std::string &text, check::CheckResult &out)
 {
     MetadataDocument doc;
     Section *current = nullptr;
@@ -143,33 +154,42 @@ MetadataDocument::parse(const std::string &text)
     while (std::getline(stream, raw_line)) {
         ++line_no;
         std::string line = trim(raw_line);
-        if (line.empty())
-            continue;
+        json::Location where{static_cast<uint32_t>(line_no), 0};
         if (startsWith(line, "## ")) {
             doc.sectionList.push_back(
-                Section{trim(line.substr(3)), {}});
+                Section{trim(line.substr(3)), {}, line_no});
             current = &doc.sectionList.back();
         } else if (startsWith(line, "# ")) {
             doc.title = trim(line.substr(2));
         } else if (startsWith(line, "- **")) {
             size_t close = line.find("**:", 4);
             if (close == std::string::npos) {
-                throw std::runtime_error(
-                    "metadata parse error at line " +
-                    std::to_string(line_no) + ": malformed entry");
+                out.report(check::Severity::Error, where,
+                           "metadata-syntax",
+                           "malformed entry (expected `- **key**: value`)");
+            } else if (!current) {
+                out.report(check::Severity::Error, where,
+                           "metadata-syntax", "entry before any section");
+            } else {
+                current->entries.push_back(
+                    Entry{line.substr(4, close - 4),
+                          trim(line.substr(close + 3)), line_no});
             }
-            if (!current) {
-                throw std::runtime_error(
-                    "metadata parse error at line " +
-                    std::to_string(line_no) + ": entry before section");
-            }
-            std::string key = line.substr(4, close - 4);
-            std::string value = trim(line.substr(close + 3));
-            current->entries.emplace_back(key, value);
-        } else {
-            // Free-form narrative lines are tolerated and ignored so
-            // humans may annotate the file without breaking parsing.
         }
+        // Other lines are narrative, tolerated and ignored so humans
+        // may annotate the file without breaking parsing.
+    }
+    return doc;
+}
+
+MetadataDocument
+MetadataDocument::parse(const std::string &text)
+{
+    check::CheckResult findings;
+    MetadataDocument doc = parse(text, findings);
+    if (!findings.ok()) {
+        throw std::runtime_error("metadata parse error at " +
+                                 findings.diagnostics().front().render());
     }
     return doc;
 }

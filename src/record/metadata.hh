@@ -20,11 +20,15 @@
 
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace sharp
 {
+namespace check
+{
+class CheckResult;
+} // namespace check
+
 namespace record
 {
 
@@ -35,11 +39,29 @@ namespace record
 class MetadataDocument
 {
   public:
+    /** One `- **key**: value` entry. */
+    struct Entry
+    {
+        std::string key;
+        std::string value;
+        /** 1-based line it was parsed from; 0 when set in memory. */
+        size_t line = 0;
+
+        /** Key and value equality (the line is not content). */
+        bool
+        operator==(const Entry &other) const
+        {
+            return key == other.key && value == other.value;
+        }
+    };
+
     /** One section of the document. */
     struct Section
     {
         std::string name;
-        std::vector<std::pair<std::string, std::string>> entries;
+        std::vector<Entry> entries;
+        /** 1-based line of its header; 0 when built in memory. */
+        size_t line = 0;
     };
 
     MetadataDocument() = default;
@@ -70,6 +92,13 @@ class MetadataDocument
     std::optional<std::string> get(const std::string &section,
                                    const std::string &key) const;
 
+    /** The section named @p name; nullptr when it is missing. */
+    const Section *findSection(const std::string &name) const;
+
+    /** The entry @p key of @p section; nullptr when it is missing. */
+    const Entry *findEntry(const std::string &section,
+                           const std::string &key) const;
+
     /** Lookup parsed as a double. */
     std::optional<double> getNumber(const std::string &section,
                                     const std::string &key) const;
@@ -87,8 +116,17 @@ class MetadataDocument
     void save(const std::string &path) const;
 
     /**
-     * Parse the markdown dialect produced by render().
-     * @throws std::runtime_error on malformed input.
+     * Parse the markdown dialect produced by render(). Each section and
+     * entry remembers its line. An entry line without its `**:` or
+     * before any section is a `metadata-syntax` error in @p out, at
+     * its line, and is skipped; other lines are narrative and ignored.
+     */
+    static MetadataDocument parse(const std::string &text,
+                                  check::CheckResult &out);
+
+    /**
+     * parse() for text that must be well-formed.
+     * @throws std::runtime_error naming the first malformed line.
      */
     static MetadataDocument parse(const std::string &text);
 
@@ -103,7 +141,6 @@ class MetadataDocument
     std::vector<Section> sectionList;
 
     Section &sectionByName(const std::string &name);
-    const Section *findSection(const std::string &name) const;
 };
 
 } // namespace record

@@ -56,13 +56,16 @@ campaignStateName(CampaignState state)
 }
 
 QueueContents
-readQueue(const std::string &path)
+walkQueue(const std::string &text, check::CheckResult &out, bool lintSpecs)
 {
+    using check::Severity;
+    static const record::JsonlFormat format = {
+        "queue", "queue journal",
+        "torn trailing line (crash mid-append); the daemon repairs it on "
+        "restart",
+        "restart `sharp serve` on the same state directory to repair and "
+        "resume"};
     QueueContents contents;
-    if (!util::fileExists(path))
-        return contents;
-    std::string text = util::readFileText(path);
-
     auto find = [&contents](const std::string &id) -> Campaign * {
         for (auto &campaign : contents.campaigns) {
             if (campaign.id == id)
@@ -71,85 +74,93 @@ readQueue(const std::string &path)
         return nullptr;
     };
 
-    auto lines = util::split(text, '\n');
-    size_t last_nonempty = lines.size();
-    for (size_t i = lines.size(); i-- > 0;) {
-        if (!lines[i].empty()) {
-            last_nonempty = i;
-            break;
-        }
-    }
     bool saw_schema = false;
-    size_t offset = 0;
-    for (size_t i = 0; i < lines.size(); ++i) {
-        const std::string &line = lines[i];
-        size_t start = offset;
-        offset += line.size() + 1;
-        if (line.empty())
-            continue;
-        bool last = i == last_nonempty;
-        json::Value doc;
-        try {
-            doc = json::parse(line);
-        } catch (const std::exception &) {
-            if (last) {
-                contents.truncated = true;
-                break;
-            }
-            throw std::runtime_error("malformed queue line " +
-                                     std::to_string(i + 1) + " in '" +
-                                     path + "'");
-        }
-        bool has_newline = start + line.size() < text.size();
-        contents.validBytes = start + line.size() + (has_newline ? 1 : 0);
-        contents.terminated = has_newline;
-        if (!doc.isObject()) {
-            throw std::runtime_error("queue line " +
-                                     std::to_string(i + 1) + " in '" +
-                                     path + "' is not an object");
-        }
+    auto visit = [&](const json::Value &doc) {
+        json::Location whole_line{doc.location().line, 1};
         if (!saw_schema) {
             if (doc.getString("schema", "") != queueSchema) {
-                throw std::runtime_error(
-                    "'" + path + "' lacks the '" +
-                    std::string(queueSchema) + "' schema header");
+                out.report(Severity::Error, whole_line, "queue-schema",
+                           "first line must carry the '" +
+                               std::string(queueSchema) +
+                               "' schema header");
             }
             saw_schema = true;
-            continue;
+            return;
         }
         std::string event = doc.getString("event", "");
+        if (event.empty()) {
+            out.report(Severity::Error, whole_line, "missing-field",
+                       "queue event lacks an 'event' name");
+            return;
+        }
+        if (std::find(eventNames.begin(), eventNames.end(), event) ==
+            eventNames.end()) {
+            out.report(Severity::Error, whole_line, "unknown-event",
+                       "unknown queue event '" + event + "'",
+                       check::suggestName(event, eventNames));
+            return;
+        }
         if (event == "drain")
-            continue; // informational; per-campaign state is authoritative
+            return; // informational; per-campaign state is authoritative
         std::string id = doc.getString("id", "");
-        if (event == "submit") {
-            if (find(id)) {
-                throw std::runtime_error("duplicate submit for '" + id +
-                                         "' in '" + path + "'");
-            }
-            Campaign campaign;
-            campaign.id = id;
-            campaign.tenant = doc.getString("tenant", "default");
-            if (const json::Value *spec = doc.find("spec"))
-                campaign.spec = *spec;
-            contents.campaigns.push_back(std::move(campaign));
-            // Ids are allocated as "c<number>"; replay the counter so
-            // a restarted daemon never reuses an id.
-            if (id.size() > 1 && id[0] == 'c') {
-                if (auto number = util::parseLong(id.substr(1))) {
-                    if (*number >= 0 &&
-                        static_cast<size_t>(*number) >=
-                            contents.nextIdNumber)
-                        contents.nextIdNumber =
-                            static_cast<size_t>(*number) + 1;
-                }
-            }
-            continue;
+        if (id.empty()) {
+            out.report(Severity::Error, whole_line, "missing-field",
+                       "'" + event + "' event lacks an 'id'");
+            return;
         }
         Campaign *campaign = find(id);
+        if (event == "submit") {
+            if (campaign) {
+                out.report(Severity::Error, whole_line, "queue-order",
+                           "duplicate submit for campaign '" + id + "'");
+                return;
+            }
+            Campaign submitted;
+            submitted.id = id;
+            submitted.tenant = doc.getString("tenant", "default");
+            const json::Value *spec = doc.find("spec");
+            if (!spec || !spec->isObject()) {
+                out.report(Severity::Error, whole_line, "missing-field",
+                           "submit event lacks a 'spec' object");
+            } else {
+                submitted.spec = *spec;
+            }
+            if (lintSpecs && submitted.spec.isObject()) {
+                // A queue full of unusable campaigns is caught at
+                // rest, not at dispatch.
+                check::CheckResult lint;
+                launcher::checkRunSpec(submitted.spec, lint);
+                for (const auto &finding : lint.diagnostics()) {
+                    out.report(finding.severity, whole_line,
+                               finding.rule,
+                               "in submitted spec '" + id +
+                                   "': " + finding.message,
+                               finding.hint);
+                }
+            }
+            contents.campaigns.push_back(std::move(submitted));
+            // Ids are allocated as "c<number>"; replay the counter so
+            // a restarted daemon never reuses an id.
+            auto number = util::parseLong(id.substr(1));
+            if (id[0] == 'c' && number && *number >= 0) {
+                contents.nextIdNumber = std::max(
+                    contents.nextIdNumber, static_cast<size_t>(*number) + 1);
+            }
+            return;
+        }
         if (!campaign) {
-            throw std::runtime_error("queue event '" + event +
-                                     "' for unknown campaign '" + id +
-                                     "' in '" + path + "'");
+            out.report(Severity::Error, whole_line, "queue-order",
+                       "'" + event + "' event for campaign '" + id +
+                           "' before its submit");
+            return;
+        }
+        if (isTerminal(campaign->state)) {
+            out.report(Severity::Error, whole_line, "queue-order",
+                       "'" + event + "' event for campaign '" + id +
+                           "' after its terminal '" +
+                           campaignStateName(campaign->state) +
+                           "' state");
+            return;
         }
         if (event == "start") {
             campaign->started = true;
@@ -164,35 +175,41 @@ readQueue(const std::string &path)
         } else if (event == "failed") {
             campaign->state = CampaignState::Failed;
             campaign->reason = doc.getString("reason", "");
-        } else if (event == "cancel") {
-            campaign->state = CampaignState::Cancelled;
         } else {
-            throw std::runtime_error("unknown queue event '" + event +
-                                     "' in '" + path + "'");
+            campaign->state = CampaignState::Cancelled;
         }
-    }
+    };
+    static_cast<record::JsonlText &>(contents) =
+        record::frameJsonl(text, format, out, visit);
+    return contents;
+}
+
+QueueContents
+readQueue(const std::string &path)
+{
+    if (!util::fileExists(path))
+        return {};
+    check::CheckResult findings;
+    findings.setArtifact(path);
+    QueueContents contents =
+        walkQueue(util::readFileText(path), findings, false);
+    check::throwIfErrors(std::move(findings));
     return contents;
 }
 
 QueueJournal::QueueJournal(std::string path) : filePath(std::move(path))
 {
-    bool fresh = !util::fileExists(filePath);
-    if (!fresh) {
-        // Same torn-tail discipline as run journals: never append
-        // after a fragment a crash left behind.
-        QueueContents contents = readQueue(filePath);
-        if (contents.truncated || !contents.terminated)
-            record::repairJsonlTail(filePath, contents.validBytes,
-                                    contents.terminated);
-        fresh = contents.validBytes == 0;
-    }
+    // Same torn-tail discipline as run journals: never append after a
+    // fragment a crash left behind. A missing file reads as empty.
+    QueueContents contents = readQueue(filePath);
+    record::repairJsonlTail(filePath, contents);
     file = std::fopen(filePath.c_str(), "ab");
     if (!file) {
         throw std::runtime_error("cannot open queue journal '" +
                                  filePath + "': " +
                                  std::strerror(errno));
     }
-    if (fresh) {
+    if (contents.validBytes == 0) {
         json::Value header = json::Value::makeObject();
         header.set("schema", queueSchema);
         append(header);
@@ -295,149 +312,6 @@ looksLikeQueueJournal(const std::string &text)
                doc.getString("schema", "") == queueSchema;
     } catch (const std::exception &) {
         return false;
-    }
-}
-
-void
-checkQueueText(const std::string &text, check::CheckResult &out)
-{
-    using check::Severity;
-
-    auto lines = util::split(text, '\n');
-    size_t last_nonempty = lines.size();
-    for (size_t i = lines.size(); i-- > 0;) {
-        if (!lines[i].empty()) {
-            last_nonempty = i;
-            break;
-        }
-    }
-    if (last_nonempty == lines.size()) {
-        out.warning("empty-queue", "queue journal holds no lines");
-        return;
-    }
-
-    // id -> state, folded as we walk; "" reason strings elided.
-    std::vector<std::pair<std::string, CampaignState>> states;
-    auto stateOf =
-        [&states](const std::string &id) -> CampaignState * {
-        for (auto &[known, state] : states) {
-            if (known == id)
-                return &state;
-        }
-        return nullptr;
-    };
-
-    bool saw_schema = false;
-    for (size_t i = 0; i < lines.size(); ++i) {
-        const std::string &line = lines[i];
-        if (line.empty())
-            continue;
-        json::Location whole_line{static_cast<uint32_t>(i + 1), 1};
-        json::Value doc;
-        try {
-            doc = json::parse(line);
-        } catch (const std::exception &problem) {
-            if (i == last_nonempty) {
-                out.report(Severity::Warning, whole_line,
-                           "truncated-queue",
-                           "torn trailing line (crash mid-append); the "
-                           "daemon repairs it on restart",
-                           "restart `sharp serve` on the same state "
-                           "directory to repair and resume");
-            } else {
-                out.report(Severity::Error, whole_line, "queue-syntax",
-                           std::string("malformed queue line: ") +
-                               problem.what());
-            }
-            continue;
-        }
-        if (!doc.isObject()) {
-            out.report(Severity::Error, whole_line, "queue-syntax",
-                       "queue line must be a JSON object");
-            continue;
-        }
-        if (!saw_schema) {
-            if (doc.getString("schema", "") != queueSchema) {
-                out.report(Severity::Error, whole_line, "queue-schema",
-                           "first line must carry the '" +
-                               std::string(queueSchema) +
-                               "' schema header");
-            }
-            saw_schema = true;
-            continue;
-        }
-        std::string event = doc.getString("event", "");
-        if (event.empty()) {
-            out.report(Severity::Error, whole_line, "missing-field",
-                       "queue event lacks an 'event' name");
-            continue;
-        }
-        if (std::find(eventNames.begin(), eventNames.end(), event) ==
-            eventNames.end()) {
-            out.report(Severity::Error, whole_line, "unknown-event",
-                       "unknown queue event '" + event + "'",
-                       check::suggestName(event, eventNames));
-            continue;
-        }
-        if (event == "drain")
-            continue;
-        std::string id = doc.getString("id", "");
-        if (id.empty()) {
-            out.report(Severity::Error, whole_line, "missing-field",
-                       "'" + event + "' event lacks an 'id'");
-            continue;
-        }
-        CampaignState *state = stateOf(id);
-        if (event == "submit") {
-            if (state) {
-                out.report(Severity::Error, whole_line, "queue-order",
-                           "duplicate submit for campaign '" + id +
-                               "'");
-                continue;
-            }
-            const json::Value *spec = doc.find("spec");
-            if (!spec || !spec->isObject()) {
-                out.report(Severity::Error, whole_line, "missing-field",
-                           "submit event lacks a 'spec' object");
-            } else {
-                // Deep-check the spec so a queue full of unusable
-                // campaigns is caught at rest, not at dispatch. The
-                // per-line parse resets positions, so findings are
-                // re-anchored to the journal line.
-                check::CheckResult spec_findings;
-                launcher::checkRunSpec(*spec, spec_findings);
-                for (const auto &finding : spec_findings.diagnostics()) {
-                    out.report(finding.severity, whole_line,
-                               finding.rule,
-                               "in submitted spec '" + id +
-                                   "': " + finding.message,
-                               finding.hint);
-                }
-            }
-            states.emplace_back(id, CampaignState::Queued);
-            continue;
-        }
-        if (!state) {
-            out.report(Severity::Error, whole_line, "queue-order",
-                       "'" + event + "' event for campaign '" + id +
-                           "' before its submit");
-            continue;
-        }
-        if (isTerminal(*state)) {
-            out.report(Severity::Error, whole_line, "queue-order",
-                       "'" + event + "' event for campaign '" + id +
-                           "' after its terminal '" +
-                           campaignStateName(*state) + "' state");
-            continue;
-        }
-        if (event == "start" || event == "failover")
-            *state = CampaignState::Queued;
-        else if (event == "done")
-            *state = CampaignState::Done;
-        else if (event == "failed")
-            *state = CampaignState::Failed;
-        else if (event == "cancel")
-            *state = CampaignState::Cancelled;
     }
 }
 

@@ -8,9 +8,10 @@
  * before the daemon acts on it. Restart is therefore a pure replay:
  * the queue state after SIGKILL is exactly the fold of the journaled
  * events, campaigns that were running resume from their own run
- * journals, and nothing the daemon accepted is ever lost. The torn
- * tail a crash can leave is repaired on open through the same
- * repairJsonlTail() path run journals use.
+ * journals, and nothing the daemon accepted is ever lost. The file is
+ * framed by the same record::frameJsonl() run journals use, and the
+ * torn tail a crash can leave is repaired on open through the same
+ * repairJsonlTail() path.
  */
 
 #ifndef SHARP_SERVE_QUEUE_HH
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "json/value.hh"
+#include "record/journal.hh"
 
 namespace sharp
 {
@@ -67,27 +69,35 @@ struct Campaign
 };
 
 /** Everything a queue journal holds, folded back into queue state. */
-struct QueueContents
+struct QueueContents : record::JsonlText
 {
     /** Campaigns in submission order. */
     std::vector<Campaign> campaigns;
     /** 1 + the highest numeric id suffix seen (first free id number). */
     size_t nextIdNumber = 1;
-    /** True when a torn trailing line was discarded. */
-    bool truncated = false;
-    /** Byte length of the valid prefix (see record::JournalContents). */
-    size_t validBytes = 0;
-    /** True when the valid prefix ends with a newline. */
-    bool terminated = true;
 };
 
 /**
- * Read and fold a queue journal. A torn trailing line is discarded
- * and flagged; campaigns whose last event is non-terminal come back
- * as Queued — "running" is not a fact a dead daemon can assert.
- * A missing file folds to an empty queue.
- * @throws std::runtime_error on unreadable files or malformed
- *         non-trailing lines.
+ * The one reader of queue-journal text: each line is parsed once, its
+ * findings go to @p out at their line, and the events fold into the
+ * queue; a campaign whose last event is not terminal comes back
+ * Queued — "running" is not a fact a dead daemon can assert. Errors,
+ * which make readQueue() throw: malformed lines but the last, a first
+ * line without the `sharp-queue-v1` tag, an unnamed, unknown or id-less
+ * event, a submit without a spec or of a known id, and an event before
+ * its submit or after its terminal state. With @p lintSpecs each
+ * submitted spec also gets launcher::checkRunSpec(), for `sharp check`
+ * only, so a daemon restart never fails on a registry lookup.
+ */
+QueueContents walkQueue(const std::string &text, check::CheckResult &out,
+                        bool lintSpecs);
+
+/**
+ * Read the queue journal at @p path: walkQueue() without the spec lint
+ * plus check::throwIfErrors(), with @p path on every finding. A
+ * missing file folds to an empty queue.
+ * @throws std::runtime_error when the file cannot be read, and
+ *         check::CheckFailure when the walk finds an error.
  */
 QueueContents readQueue(const std::string &path);
 
@@ -132,17 +142,6 @@ class QueueJournal
     std::string filePath;
     std::FILE *file = nullptr;
 };
-
-/**
- * Static analysis of queue-journal text: schema header, per-line
- * syntax (a torn trailing line is a warning, anything else an error),
- * unknown event names (with did-you-mean hints), missing fields, and
- * lifecycle-order violations (events for unsubmitted ids, duplicate
- * submits, events after a terminal state). Submitted specs are
- * deep-checked with the run-spec analyzer. Line numbers are 1-based
- * journal lines. Never throws; findings are appended to @p out.
- */
-void checkQueueText(const std::string &text, check::CheckResult &out);
 
 /**
  * True when @p text's first line carries the `sharp-queue-v1` schema

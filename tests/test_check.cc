@@ -221,7 +221,7 @@ TEST(CheckJournal, FlagsRoundsThatDisagreeWithTheSpec)
         R"("failure":"none"}]})"
         "\n";
     CheckResult result;
-    record::checkJournalText(text, result);
+    record::walkJournal(text, result);
     const check::Diagnostic *mismatch =
         findRule(result, "journal-spec-mismatch");
     ASSERT_NE(mismatch, nullptr);
@@ -242,7 +242,7 @@ TEST(CheckJournal, FlagsRoundAfterDoneAndOverrun)
         R"({"type":"round","run":1,"records":[]})"
         "\n";
     CheckResult result;
-    record::checkJournalText(text, result);
+    record::walkJournal(text, result);
     const check::Diagnostic *order = findRule(result, "journal-order");
     ASSERT_NE(order, nullptr);
     EXPECT_EQ(order->severity, Severity::Error);

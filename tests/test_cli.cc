@@ -861,9 +861,15 @@ TEST(Cli, EveryFormRejectsAnUndeclaredFlag)
 {
     for (const Form &form : forms()) {
         std::vector<std::string> argv = {form.command};
-        if (*form.selector) {
+        bool flag = std::any_of(
+            form.flags.begin(), form.flags.end(), [&](const Flag &each) {
+                return std::string(each.name) == form.selector;
+            });
+        if (flag) {
             argv.push_back(std::string("--") + form.selector);
             argv.push_back("x");
+        } else if (*form.selector) {
+            argv.push_back(form.selector); // the operand that picks it
         }
         argv.push_back("--no-such-flag");
         CliResult result = run(argv);
@@ -1060,6 +1066,41 @@ TEST(Cli, ClientSubmitOfABadFileExitsTwoWithoutADaemon)
     EXPECT_EQ(unreadable.err.rfind(bad.string() + ":", 0), 0u)
         << unreadable.err;
     fs::remove(bad);
+}
+
+TEST(Cli, ClientAndMicroReadOnlyTheFlagsOfTheirOperation)
+{
+    // The first operand picks the form, so a flag another operation
+    // reads is rejected before anything connects or lists.
+    std::string socket =
+        (fs::temp_directory_path() / "sharp_cli_no_daemon.sock").string();
+    CliResult status = run({"client", "status", "c000001", "--tenant", "x",
+                            "--timeout", "5", "--socket", socket});
+    EXPECT_EQ(status.status, 2);
+    EXPECT_EQ(status.err,
+              "client: --tenant is not read by `sharp client OP [ID]`\n");
+    EXPECT_EQ(status.out, "");
+    CliResult wait = run({"client", "wait", "c000001", "--tenant", "x",
+                          "--socket", socket});
+    EXPECT_EQ(wait.status, 2);
+    EXPECT_EQ(wait.err,
+              "client: --tenant is not read by `sharp client wait ID`\n");
+    CliResult submit = run({"client", "submit", "spec.json", "--timeout",
+                            "5", "--socket", socket});
+    EXPECT_EQ(submit.status, 2);
+    EXPECT_EQ(submit.err, "client: --timeout is not read by `sharp client "
+                          "submit SPEC.json`\n");
+    CliResult bare = run({"client", "wait", "--socket", socket});
+    EXPECT_EQ(bare.status, 2);
+    EXPECT_EQ(bare.err, "client: expected `sharp client wait ID`\n");
+
+    CliResult list = run({"micro", "--max", "5", "--rule", "ks"});
+    EXPECT_EQ(list.status, 2);
+    EXPECT_EQ(list.err, "micro: --max is not read by `sharp micro`\n");
+    EXPECT_EQ(list.out, "");
+    CliResult probes = run({"micro"});
+    EXPECT_EQ(probes.status, 0);
+    EXPECT_NE(probes.out.find("alu-ops"), std::string::npos);
 }
 
 } // anonymous namespace

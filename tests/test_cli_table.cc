@@ -234,8 +234,15 @@ TEST(CliTable, FormsAreWellFormed)
             EXPECT_TRUE(flag.kind == FlagKind::Switch || *flag.value)
                 << form.command << " --" << flag.name;
         }
+        // A selector is a flag the form reads, or its first operand:
+        // a word, or a placeholder for any word (`PROBE` for `probe`).
+        std::string operand = form.operands;
+        operand = operand.substr(0, operand.find(' '));
+        for (char &c : operand)
+            c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
         if (*form.selector) {
-            EXPECT_TRUE(names.count(form.selector)) << form.command;
+            EXPECT_TRUE(names.count(form.selector) || operand == form.selector)
+                << form.command << " " << form.selector;
         }
     }
 }

@@ -14,6 +14,7 @@
 #include <fstream>
 #include <memory>
 
+#include "check/diagnostic.hh"
 #include "core/stopping/fixed_rule.hh"
 #include "core/stopping/ks_rule.hh"
 #include "launcher/fault_backend.hh"
@@ -130,12 +131,13 @@ TEST(Journal, TornTrailingLineIsDiscarded)
     EXPECT_EQ(contents.rounds, 1u);
     EXPECT_FALSE(contents.done);
 
-    // A malformed line in the middle is a hard error.
+    // A malformed line in the middle is a hard error, located like
+    // every journal finding.
     {
         std::ofstream more(path, std::ios::app);
         more << "\n{\"type\":\"done\"}\n";
     }
-    EXPECT_THROW(readJournal(path), std::runtime_error);
+    EXPECT_THROW(readJournal(path), sharp::check::CheckFailure);
     fs::remove(path);
 }
 

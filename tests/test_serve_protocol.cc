@@ -177,9 +177,9 @@ TEST(ServeQueue, TornTailIsDiscardedOnReadAndRepairedOnOpen)
 TEST(ServeQueue, CheckerFlagsDefectsWithLocations)
 {
     check::CheckResult result;
-    checkQueueText("{\"schema\":\"sharp-queue-v1\"}\n"
-                   "{\"event\":\"start\",\"id\":\"c000001\"}\n",
-                   result);
+    walkQueue("{\"schema\":\"sharp-queue-v1\"}\n"
+              "{\"event\":\"start\",\"id\":\"c000001\"}\n",
+              result, true);
     ASSERT_EQ(result.errorCount(), 1u);
     const auto &order = result.diagnostics().front();
     EXPECT_EQ(order.rule, "queue-order");
