@@ -150,23 +150,49 @@ artifactKindName(ArtifactKind kind)
     return "unknown";
 }
 
+namespace
+{
+
+/** True when @p doc is a run journal's spec header line. */
+bool
+isSpecHeader(const json::Value &doc)
+{
+    return doc.isObject() && doc.getString("type", "") == "spec" &&
+           doc.find("spec");
+}
+
+/** True when @p text's first line is a run journal's spec header. */
+bool
+startsWithSpecHeader(const std::string &text)
+{
+    std::string first = text.substr(0, text.find('\n'));
+    if (first.find("\"spec\"") == std::string::npos)
+        return false;
+    try {
+        return isSpecHeader(json::parse(first));
+    } catch (const json::ParseError &) {
+        return false;
+    }
+}
+
+} // anonymous namespace
+
 ArtifactKind
 sniffArtifact(const std::string &path, const std::string &text,
               const json::Value *doc)
 {
     if (util::endsWith(path, ".md") || util::startsWith(text, "# "))
         return ArtifactKind::Metadata;
-    if (util::endsWith(path, ".jsonl")) {
-        // Both JSONL artifacts carry their identity on line 1: the
-        // queue journal a schema tag, the run journal a spec header.
-        return serve::looksLikeQueueJournal(text)
-                   ? ArtifactKind::QueueJournal
-                   : ArtifactKind::Journal;
-    }
+    // Both JSONL artifacts carry their identity on line 1, whatever
+    // the file is named: the queue journal a schema tag, the run
+    // journal a spec header.
+    if (serve::looksLikeQueueJournal(text))
+        return ArtifactKind::QueueJournal;
+    if (util::endsWith(path, ".jsonl") || startsWithSpecHeader(text))
+        return ArtifactKind::Journal;
     if (!doc)
         return ArtifactKind::Unknown;
-    if (doc->isObject() && doc->find("type") &&
-        doc->getString("type", "") == "spec" && doc->find("spec"))
+    if (isSpecHeader(*doc))
         return ArtifactKind::Journal;
     if (doc->isObject() && doc->find("schema")) {
         // Schema-tagged documents are told apart by the tag's value;
@@ -269,8 +295,6 @@ checkArtifactText(const std::string &path, const std::string &text,
             out.syntaxError(problem);
             return kind;
         }
-        // Content sniffing can still land on a text format (a journal
-        // named .json whose single line is the spec header).
         if (kind == ArtifactKind::Unknown)
             kind = sniffArtifact(path, text, &doc);
     }

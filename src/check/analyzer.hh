@@ -70,7 +70,9 @@ const char *artifactKindName(ArtifactKind kind);
 
 /**
  * Guess what kind of artifact @p path with contents @p text holds.
- * Extension first (.md = metadata, .jsonl = journal), then content:
+ * Text formats first: `.md` or a `# ` title is metadata; a first line
+ * holding a queue schema tag is a queue journal; a `.jsonl` name or a
+ * first line holding a spec header is a run journal. Then content:
  * a parsed @p doc (nullptr when the text is not JSON) is classified
  * by its distinguishing keys — "schema" tags a baseline, "states" a
  * workflow, "backend"/"experiment" a run spec, fault-band keys a

@@ -530,17 +530,15 @@ cmdReproduce(const ParsedArgs &args, std::ostream &out,
 std::vector<double>
 loadMetric(const std::string &path, const ParsedArgs &args)
 {
-    record::CsvTable table = record::CsvTable::load(path);
-    std::string metric = args.get("metric", "execution_time");
+    // Baseline capture's row rule: warmup rows and failed attempts
+    // never count, with or without --workload.
+    compare::CaptureOptions options;
+    options.metric = args.get("metric", "execution_time");
     std::string workload = args.get("workload");
-    if (!workload.empty()) {
-        return table.numericColumnWhere(metric, "workload", workload);
-    }
-    // Exclude warmup rows when the column exists.
-    if (table.columnIndex("warmup")) {
-        return table.numericColumnWhere(metric, "warmup", "false");
-    }
-    return table.numericColumn(metric);
+    if (workload.empty())
+        options.groupBy.clear(); // every row, in row order, as "all"
+    compare::FileSamples samples = compare::ingestCsv(path, options);
+    return std::move(samples.byScenario[workload.empty() ? "all" : workload]);
 }
 
 int

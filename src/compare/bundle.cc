@@ -22,18 +22,6 @@ namespace sharp
 namespace compare
 {
 
-namespace
-{
-
-/** One input file's contribution, before the cross-file merge. */
-struct FileSamples
-{
-    /** Scenario name -> values, in row order. */
-    std::map<std::string, std::vector<double>> byScenario;
-    size_t excludedWarmup = 0;
-    size_t excludedFailures = 0;
-};
-
 FileSamples
 ingestCsv(const std::string &path, const CaptureOptions &options)
 {
@@ -66,6 +54,9 @@ ingestCsv(const std::string &path, const CaptureOptions &options)
     }
     return out;
 }
+
+namespace
+{
 
 FileSamples
 ingestJournal(const std::string &path, const CaptureOptions &options)

@@ -18,6 +18,7 @@
 #define SHARP_COMPARE_BUNDLE_HH
 
 #include <cstddef>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -83,6 +84,26 @@ struct BaselineBundle
      */
     static BaselineBundle fromJson(const json::Value &doc);
 };
+
+/** One input file's samples, before any cross-file merge. */
+struct FileSamples
+{
+    /** Scenario name -> values, in row order. */
+    std::map<std::string, std::vector<double>> byScenario;
+    size_t excludedWarmup = 0;
+    size_t excludedFailures = 0;
+};
+
+/**
+ * The samples of one tidy CSV, by the one row rule for recorded runs:
+ * a warmup row or a failed attempt never counts, and a metric cell
+ * that is not a number is skipped. Rows group by the options.groupBy
+ * column; a missing column or an empty cell groups as "all".
+ * @throws std::runtime_error on unreadable input or a missing metric
+ *         column.
+ */
+FileSamples ingestCsv(const std::string &path,
+                      const CaptureOptions &options);
 
 /**
  * Ingest recorded runs into a bundle. CSV inputs group rows by the

@@ -15,11 +15,6 @@ SampleSeries::SampleSeries() = default;
 
 SampleSeries::~SampleSeries() = default;
 
-SampleSeries::SampleSeries(const std::vector<double> &values)
-{
-    appendAll(values);
-}
-
 SampleSeries::SampleSeries(const SampleSeries &other)
     : data(other.data), count(other.count),
       dataVersion(other.dataVersion), runningMean(other.runningMean),

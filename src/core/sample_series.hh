@@ -40,9 +40,6 @@ class SampleSeries
   public:
     SampleSeries();
 
-    /** Construct pre-filled from existing values. */
-    explicit SampleSeries(const std::vector<double> &values);
-
     ~SampleSeries();
 
     /**

@@ -45,12 +45,6 @@ CsvTable::cell(size_t row_idx, size_t col) const
     return rows.at(row_idx).at(col);
 }
 
-const std::vector<std::string> &
-CsvTable::row(size_t index) const
-{
-    return rows.at(index);
-}
-
 std::vector<double>
 CsvTable::numericColumn(const std::string &name) const
 {

@@ -47,9 +47,6 @@ class CsvTable
     /** Cell access. */
     const std::string &cell(size_t row, size_t col) const;
 
-    /** Whole row access. */
-    const std::vector<std::string> &row(size_t index) const;
-
     /**
      * Extract a column as doubles. Cells that fail to parse are
      * skipped. @throws std::out_of_range for unknown columns.

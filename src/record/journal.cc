@@ -24,17 +24,6 @@ using check::Severity;
 RunJournal::RunJournal(std::string path_in, JournalMode mode)
     : filePath(std::move(path_in))
 {
-    // Resume-mode opens repair the tail unconditionally, so a torn
-    // trailing fragment can never fuse with the first new append —
-    // even for callers (daemon failover, restart-after-crash) that
-    // did not go through loadResumedCampaign() first. A journal that
-    // is malformed beyond a torn tail throws here, before any append
-    // could make it worse.
-    if (mode == JournalMode::Resume) {
-        struct stat st = {};
-        if (::stat(filePath.c_str(), &st) == 0 && st.st_size > 0)
-            repairJsonlTail(filePath, readJournal(filePath));
-    }
     file = std::fopen(filePath.c_str(),
                       mode == JournalMode::Resume ? "ab" : "wb");
     if (!file) {

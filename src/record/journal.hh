@@ -49,7 +49,12 @@ enum class JournalMode
      * the same path can never mix into this one.
      */
     Fresh,
-    /** A resumed campaign: append after the existing rounds. */
+    /**
+     * A resumed campaign: append after the existing rounds. The open
+     * itself reads nothing; launcher::loadResumedCampaign() has
+     * already read the journal once and repaired its tail, which is
+     * what makes the appends safe.
+     */
     Resume,
 };
 
@@ -140,8 +145,8 @@ JsonlText frameJsonl(const std::string &text, const JsonlFormat &format,
  * Make @p path safe to append to after a crash: cut it back to
  * @p text.validBytes (a torn fragment would fuse with the next line)
  * and supply a missing final newline; a clean file is untouched.
- * RunJournal's Resume mode and QueueJournal run it on every open, so
- * `--resume`, daemon failover and restart all repair alike.
+ * launcher::loadResumedCampaign() and QueueJournal run it on every
+ * load, so `--resume`, daemon failover and restart all repair alike.
  * @throws std::runtime_error when the file cannot be modified.
  */
 void repairJsonlTail(const std::string &path, const JsonlText &text);

@@ -50,31 +50,6 @@ MetadataDocument::set(const std::string &section, const std::string &key,
     sec.entries.push_back(Entry{key, value});
 }
 
-void
-MetadataDocument::set(const std::string &section, const std::string &key,
-                      double value)
-{
-    set(section, key, util::formatDouble(value, 10));
-}
-
-bool
-MetadataDocument::remove(const std::string &section,
-                         const std::string &key)
-{
-    for (auto &sec : sectionList) {
-        if (sec.name != section)
-            continue;
-        for (auto it = sec.entries.begin(); it != sec.entries.end();
-             ++it) {
-            if (it->key == key) {
-                sec.entries.erase(it);
-                return true;
-            }
-        }
-    }
-    return false;
-}
-
 const MetadataDocument::Entry *
 MetadataDocument::findEntry(const std::string &section,
                             const std::string &key) const
@@ -107,12 +82,6 @@ MetadataDocument::getNumber(const std::string &section,
     if (!text)
         return std::nullopt;
     return util::parseDouble(*text);
-}
-
-bool
-MetadataDocument::hasSection(const std::string &name) const
-{
-    return findSection(name) != nullptr;
 }
 
 std::string
@@ -180,45 +149,6 @@ MetadataDocument::parse(const std::string &text, check::CheckResult &out)
         // may annotate the file without breaking parsing.
     }
     return doc;
-}
-
-MetadataDocument
-MetadataDocument::parse(const std::string &text)
-{
-    check::CheckResult findings;
-    MetadataDocument doc = parse(text, findings);
-    if (!findings.ok()) {
-        throw std::runtime_error("metadata parse error at " +
-                                 findings.diagnostics().front().render());
-    }
-    return doc;
-}
-
-MetadataDocument
-MetadataDocument::load(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        throw std::runtime_error("cannot open metadata file: " + path);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return parse(buf.str());
-}
-
-bool
-MetadataDocument::operator==(const MetadataDocument &other) const
-{
-    if (title != other.title ||
-        sectionList.size() != other.sectionList.size()) {
-        return false;
-    }
-    for (size_t i = 0; i < sectionList.size(); ++i) {
-        if (sectionList[i].name != other.sectionList[i].name ||
-            sectionList[i].entries != other.sectionList[i].entries) {
-            return false;
-        }
-    }
-    return true;
 }
 
 } // namespace record

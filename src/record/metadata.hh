@@ -46,13 +46,6 @@ class MetadataDocument
         std::string value;
         /** 1-based line it was parsed from; 0 when set in memory. */
         size_t line = 0;
-
-        /** Key and value equality (the line is not content). */
-        bool
-        operator==(const Entry &other) const
-        {
-            return key == other.key && value == other.value;
-        }
     };
 
     /** One section of the document. */
@@ -77,17 +70,6 @@ class MetadataDocument
     void set(const std::string &section, const std::string &key,
              const std::string &value);
 
-    /** Numeric convenience overload. */
-    void set(const std::string &section, const std::string &key,
-             double value);
-
-    /**
-     * Drop @p key from @p section; returns true when an entry was
-     * removed. Useful for emulating documents written by older
-     * versions that lacked the key.
-     */
-    bool remove(const std::string &section, const std::string &key);
-
     /** Lookup; nullopt when the section or key is missing. */
     std::optional<std::string> get(const std::string &section,
                                    const std::string &key) const;
@@ -106,9 +88,6 @@ class MetadataDocument
     /** All sections in insertion order. */
     const std::vector<Section> &sections() const { return sectionList; }
 
-    /** True when a section exists. */
-    bool hasSection(const std::string &name) const;
-
     /** Render as markdown. */
     std::string render() const;
 
@@ -123,18 +102,6 @@ class MetadataDocument
      */
     static MetadataDocument parse(const std::string &text,
                                   check::CheckResult &out);
-
-    /**
-     * parse() for text that must be well-formed.
-     * @throws std::runtime_error naming the first malformed line.
-     */
-    static MetadataDocument parse(const std::string &text);
-
-    /** Load from a file. */
-    static MetadataDocument load(const std::string &path);
-
-    /** Deep equality (title + sections + entries, order-sensitive). */
-    bool operator==(const MetadataDocument &other) const;
 
   private:
     std::string title;

@@ -3,10 +3,11 @@
 #include <sys/utsname.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <fstream>
+#include <thread>
 
 #include "util/string_utils.hh"
-#include "util/thread_pool.hh"
 
 namespace sharp
 {
@@ -79,7 +80,7 @@ captureHostInfo()
     }
     info.cpuCores = cores;
     info.cpuThreads =
-        static_cast<int>(util::ThreadPool::hardwareThreads());
+        static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
 
     std::ifstream meminfo("/proc/meminfo");
     while (std::getline(meminfo, line)) {

@@ -132,18 +132,6 @@ class CauchySampler : public Sampler
     double location, scale;
 };
 
-/** Exponential distribution with rate @p lambda. */
-class ExponentialSampler : public Sampler
-{
-  public:
-    explicit ExponentialSampler(double lambda);
-    double sample(Xoshiro256 &gen) override;
-    std::string describe() const override;
-
-  private:
-    double lambda;
-};
-
 /**
  * Finite mixture of component samplers with given weights; models the
  * bi- and multi-modal run-time distributions common on real machines.
@@ -192,57 +180,6 @@ class SinusoidalSampler : public Sampler
   private:
     double base, amplitude, period, noise;
     uint64_t index = 0;
-};
-
-/**
- * First-order autoregressive process AR(1):
- * x_t = mean + phi * (x_{t-1} - mean) + N(0, sigma).
- */
-class Ar1Sampler : public Sampler
-{
-  public:
-    Ar1Sampler(double mean, double phi, double sigma);
-    double sample(Xoshiro256 &gen) override;
-    std::string describe() const override;
-
-  private:
-    double mean, phi, sigma;
-    double previous;
-    bool started = false;
-};
-
-/**
- * Wraps another sampler and shifts/scales its output:
- * y = offset + scale * x. Used to place a canonical shape at a
- * benchmark's absolute run-time level.
- */
-class AffineSampler : public Sampler
-{
-  public:
-    AffineSampler(std::shared_ptr<Sampler> inner, double scale,
-                  double offset);
-    double sample(Xoshiro256 &gen) override;
-    std::string describe() const override;
-
-  private:
-    std::shared_ptr<Sampler> inner;
-    double scale, offset;
-};
-
-/**
- * Clamps another sampler's output to [low, high]; execution times are
- * physically bounded below, so simulated ones should be too.
- */
-class ClampSampler : public Sampler
-{
-  public:
-    ClampSampler(std::shared_ptr<Sampler> inner, double low, double high);
-    double sample(Xoshiro256 &gen) override;
-    std::string describe() const override;
-
-  private:
-    std::shared_ptr<Sampler> inner;
-    double low, high;
 };
 
 } // namespace rng

@@ -12,12 +12,6 @@ namespace sim
 {
 
 DuetHarness::DuetHarness(const BenchmarkSpec &a, const BenchmarkSpec &b,
-                         const MachineSpec &machine, uint64_t seed)
-    : DuetHarness(a, b, machine, seed, NoiseModel())
-{
-}
-
-DuetHarness::DuetHarness(const BenchmarkSpec &a, const BenchmarkSpec &b,
                          const MachineSpec &machine, uint64_t seed,
                          NoiseModel noise_in)
     : workloadA(a, machine, 0, seed),

@@ -64,8 +64,6 @@ class DuetHarness
      *         machines or invalid noise parameters
      */
     DuetHarness(const BenchmarkSpec &a, const BenchmarkSpec &b,
-                const MachineSpec &machine, uint64_t seed);
-    DuetHarness(const BenchmarkSpec &a, const BenchmarkSpec &b,
                 const MachineSpec &machine, uint64_t seed,
                 NoiseModel noise);
 

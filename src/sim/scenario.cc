@@ -346,8 +346,19 @@ ScenarioSpec::toJson() const
 ScenarioSpec
 loadScenario(const std::string &path)
 {
-    json::Value doc = json::parseFile(path);
-    return ScenarioSpec::fromJson(doc, dirNameOf(path));
+    // Findings carry the file, as `sharp check` prints them.
+    check::CheckResult located;
+    located.setArtifact(path);
+    try {
+        return ScenarioSpec::fromJson(json::parseFile(path), dirNameOf(path));
+    } catch (const json::ParseError &problem) {
+        located.syntaxError(problem);
+    } catch (const check::CheckFailure &failure) {
+        for (const check::Diagnostic &finding :
+             failure.result().diagnostics())
+            located.add(finding);
+    }
+    throw check::CheckFailure(std::move(located));
 }
 
 rng::SyntheticSpec

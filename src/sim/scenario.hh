@@ -134,8 +134,9 @@ struct ScenarioSpec
 
 /**
  * Load and parse @p path.
- * @throws std::runtime_error when the file cannot be read,
- *         json::ParseError / check::CheckFailure when invalid.
+ * @throws std::runtime_error when the file cannot be read, and
+ *         check::CheckFailure, its findings located in @p path, when
+ *         it is not JSON or not a valid scenario.
  */
 ScenarioSpec loadScenario(const std::string &path);
 

@@ -48,9 +48,6 @@ double orderStatTwoRunsScalar(const double *a, size_t na,
 double kahanSumScalar(const double *v, size_t n);
 double sumSquaredDeviationsScalar(const double *v, size_t n, double m);
 
-/** True when any of the @p n doubles is NaN (scalar prescan). */
-bool hasNanScalar(const double *v, size_t n);
-
 /**
  * The KS merge walk split into four independent merge-path chunks
  * whose steps interleave, breaking the walk's serial compare-advance

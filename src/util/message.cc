@@ -58,17 +58,6 @@ panic(const char *fmt, ...)
 }
 
 void
-fatal(const char *fmt, ...)
-{
-    va_list ap;
-    va_start(ap, fmt);
-    std::string msg = vformat(fmt, ap);
-    va_end(ap);
-    std::fprintf(stderr, "fatal: %s\n", msg.c_str());
-    std::exit(1);
-}
-
-void
 warn(const char *fmt, ...)
 {
     va_list ap;

@@ -3,9 +3,9 @@
  * Status-message and error-reporting helpers.
  *
  * Follows the gem5 convention: panic() for internal invariant violations
- * (framework bugs), fatal() for unrecoverable user errors, warn() and
- * inform() for non-fatal status messages. All messages go to stderr
- * except inform(), which goes to stdout.
+ * (framework bugs), warn() and inform() for non-fatal status messages.
+ * Errors a user can fix are exceptions the CLI renders. All messages go
+ * to stderr except inform(), which goes to stdout.
  */
 
 #ifndef SHARP_UTIL_MESSAGE_HH
@@ -24,13 +24,6 @@ namespace util
  * i.e. a bug in SHARP itself. Never returns.
  */
 [[noreturn]] void panic(const char *fmt, ...)
-    __attribute__((format(printf, 1, 2)));
-
-/**
- * Exit with an error message. Call when the *user* supplied an invalid
- * configuration or input that makes continuing impossible. Never returns.
- */
-[[noreturn]] void fatal(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
 /** Print a warning about suspicious but survivable conditions. */

@@ -40,13 +40,6 @@ ThreadPool::submit(std::function<void()> task)
     return future;
 }
 
-size_t
-ThreadPool::hardwareThreads()
-{
-    unsigned n = std::thread::hardware_concurrency();
-    return n == 0 ? 1 : static_cast<size_t>(n);
-}
-
 void
 ThreadPool::workerLoop()
 {

@@ -57,9 +57,6 @@ class ThreadPool
     /** Number of worker threads. */
     size_t size() const { return workers.size(); }
 
-    /** Hardware thread count (>= 1 even when unknown). */
-    static size_t hardwareThreads();
-
   private:
     void workerLoop();
 

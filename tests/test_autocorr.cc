@@ -8,6 +8,7 @@
 
 #include "rng/sampler.hh"
 #include "stats/autocorr.hh"
+#include "support/samplers.hh"
 
 namespace
 {

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -24,6 +25,7 @@
 #include "record/journal.hh"
 #include "record/run_log.hh"
 #include "serve/state.hh"
+#include "util/fs.hh"
 #include "workflow/workflow_parser.hh"
 
 namespace
@@ -781,6 +783,69 @@ TEST(CliCheck, RunReportsMalformedJsonAtItsFileLineAndColumn)
     EXPECT_EQ(faulted.err, located);
     EXPECT_EQ(faulted.out, "");
     std::remove(path.c_str());
+}
+
+TEST(CliCheck, ScenarioFailuresNameTheirFile)
+{
+    // A rejected scenario prints what `sharp check` prints for it, at
+    // its file, line and column, whichever command loaded it.
+    std::string dir = ::testing::TempDir() + "sharp_bad_scenarios";
+    std::filesystem::create_directories(dir);
+    std::string path = dir + "/bad.json";
+    {
+        std::ofstream out(path);
+        out << "{\"schema\": \"sharp-scenario-v1\", \"name\": \"bad\", "
+               "\"family\": \"diurnal-drift\", \"seed\": -1}\n";
+    }
+    const std::string located =
+        path + ":1:83: error: 'seed' must be a non-negative integer or "
+               "decimal string [wrong-type]";
+    auto checked = runCheck({"check", path});
+    EXPECT_EQ(checked.status, 2);
+    EXPECT_NE(checked.out.find(located), std::string::npos)
+        << checked.out;
+    auto ran = runCheck({"run", "--scenario", path, "--rule", "fixed",
+                         "--count", "5"});
+    EXPECT_EQ(ran.status, 1);
+    EXPECT_EQ(ran.err, located + "\n");
+    auto suite = runCheck({"suite", "--scenarios", dir, "--rule",
+                           "fixed", "--count", "5"});
+    EXPECT_NE(suite.out.find("error: " + located), std::string::npos)
+        << suite.out;
+    auto calibrated = runCheck({"calibrate", "--scenarios", dir});
+    EXPECT_EQ(calibrated.status, 1);
+    EXPECT_EQ(calibrated.err, located + "\n");
+    std::filesystem::remove_all(dir);
+}
+
+TEST(CliCheck, JournalsAreKnownByTheirFirstLineWhateverTheirName)
+{
+    // A run journal written to a path with no .jsonl extension checks
+    // as a journal, the file `run --resume` loads; so does a queue
+    // journal by its schema tag.
+    std::string journal = ::testing::TempDir() + "J";
+    ASSERT_EQ(runCheck({"run", "--workload", "bfs", "--rule", "fixed",
+                        "--count", "5", "--journal", journal})
+                  .status,
+              0);
+    auto checked = runCheck({"check", journal});
+    EXPECT_EQ(checked.status, 0) << checked.out;
+    EXPECT_NE(checked.out.find(journal + ": journal: ok"),
+              std::string::npos)
+        << checked.out;
+
+    std::string queue = ::testing::TempDir() + "Q";
+    {
+        std::ofstream out(queue);
+        out << util::readFileText(fixture("queue_clean.jsonl"));
+    }
+    auto queued = runCheck({"check", queue});
+    EXPECT_EQ(queued.status, 0) << queued.out;
+    EXPECT_NE(queued.out.find(queue + ": queue journal: ok"),
+              std::string::npos)
+        << queued.out;
+    std::remove(journal.c_str());
+    std::remove(queue.c_str());
 }
 
 // ---- `sharp serve` artifacts: the campaign queue journal and the

@@ -605,6 +605,49 @@ TEST(Cli, ReportRejectsMissingFile)
     EXPECT_EQ(noargs.status, 2);
 }
 
+TEST(Cli, WorkloadFilterNeverCountsWarmupRows)
+{
+    // --workload picks rows; it must not bring back the warmup rows
+    // that report, compare and gate drop without it.
+    fs::path dir = fs::temp_directory_path();
+    fs::path spec = dir / "sharp_cli_warmup.json";
+    fs::path base = dir / "sharp_cli_warmup_base";
+    fs::path cand = dir / "sharp_cli_warmup_cand";
+    for (const auto &[seed, out_base] : {std::pair{1, base}, {2, cand}}) {
+        {
+            std::ofstream out(spec);
+            out << R"({"backend": "sim", "workload": "bfs", "seed": )"
+                << seed << R"(, "experiment": {"rule": "fixed",
+                   "params": {"count": 30}, "warmup": 5}})";
+        }
+        ASSERT_EQ(run({"run", "--config", spec.string(), "--out",
+                       out_base.string()})
+                      .status,
+                  0);
+    }
+    std::string a = base.string() + ".csv";
+    std::string b = cand.string() + ".csv";
+
+    CliResult all = run({"report", a});
+    ASSERT_EQ(all.status, 0) << all.err;
+    EXPECT_NE(all.out.find("| n               |                 30 |"),
+              std::string::npos)
+        << all.out;
+    CliResult picked = run({"report", a, "--workload", "bfs"});
+    EXPECT_EQ(picked.out, all.out);
+    for (const char *command : {"compare", "gate"}) {
+        CliResult whole = run({command, a, b});
+        CliResult filtered = run({command, a, b, "--workload", "bfs"});
+        EXPECT_EQ(filtered.status, whole.status) << command;
+        EXPECT_EQ(filtered.out, whole.out) << command;
+    }
+    fs::remove(spec);
+    for (const fs::path &path : {base, cand}) {
+        fs::remove(path.string() + ".csv");
+        fs::remove(path.string() + ".md");
+    }
+}
+
 TEST(Cli, WorkflowTranslatesAndExecutes)
 {
     fs::path spec = fs::temp_directory_path() / "sharp_cli_wf.json";

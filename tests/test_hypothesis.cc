@@ -18,6 +18,7 @@
 #include "stats/descriptive.hh"
 #include "stats/special.hh"
 #include "stats/tests.hh"
+#include "support/samplers.hh"
 
 namespace
 {

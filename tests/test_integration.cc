@@ -26,6 +26,7 @@
 #include "sim/rodinia.hh"
 #include "stats/ecdf.hh"
 #include "stats/similarity.hh"
+#include "support/metadata.hh"
 
 namespace
 {
@@ -61,7 +62,7 @@ TEST(Integration, LaunchLogAnalyzeRoundTrip)
     ASSERT_EQ(measured.size(), report.series.size());
 
     record::MetadataDocument doc =
-        record::MetadataDocument::load(base.string() + ".md");
+        support::loadMetadata(base.string() + ".md");
     EXPECT_EQ(doc.get("System Under Test", "cpu_model").value(),
               "AMD EPYC 7443");
 

@@ -19,6 +19,7 @@
 #include "record/journal.hh"
 #include "record/metadata.hh"
 #include "simd/dispatch.hh"
+#include "support/metadata.hh"
 
 namespace
 {
@@ -150,8 +151,15 @@ TEST(Reproduce, MetadataWithoutJobsDefaultsToSerial)
     // such documents must still reproduce (with jobs = 1).
     record::RunLog log("hotspot");
     launcher::annotate(log, hotspotSpec());
-    record::MetadataDocument doc = log.toMetadata();
-    doc.remove("Configuration", "repro_jobs");
+    record::MetadataDocument recorded = log.toMetadata();
+    record::MetadataDocument doc;
+    doc.setTitle(recorded.getTitle());
+    for (const auto &section : recorded.sections()) {
+        for (const auto &entry : section.entries) {
+            if (entry.key != "repro_jobs")
+                doc.set(section.name, entry.key, entry.value);
+        }
+    }
     ReproSpec spec = launcher::reproSpecFromMetadata(doc);
     EXPECT_EQ(spec.jobs, 1u);
 }
@@ -185,7 +193,7 @@ TEST(Reproduce, SimulatedReproductionIsBitExact)
     fs::path path = fs::temp_directory_path() / "sharp_repro_meta.md";
     first.log.toMetadata().save(path.string());
     record::MetadataDocument doc =
-        record::MetadataDocument::load(path.string());
+        support::loadMetadata(path.string());
     fs::remove(path);
 
     launcher::LaunchReport second =

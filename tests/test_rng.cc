@@ -15,6 +15,7 @@
 #include "rng/xoshiro.hh"
 #include "stats/autocorr.hh"
 #include "stats/descriptive.hh"
+#include "support/samplers.hh"
 
 namespace
 {

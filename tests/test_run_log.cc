@@ -9,6 +9,7 @@
 #include <filesystem>
 
 #include "record/run_log.hh"
+#include "support/metadata.hh"
 
 namespace
 {
@@ -151,7 +152,7 @@ TEST(RunLog, SaveWritesPairedFiles)
     EXPECT_EQ(times.size(), 4u);
 
     MetadataDocument doc =
-        MetadataDocument::load(base.string() + ".md");
+        sharp::support::loadMetadata(base.string() + ".md");
     EXPECT_EQ(doc.get("Experiment", "name").value(), "fig5-hotspot");
 
     fs::remove(base.string() + ".csv");

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <initializer_list>
 
 #include "core/sample_series.hh"
 #include "rng/sampler.hh"
@@ -18,6 +19,16 @@ namespace
 
 using sharp::core::SampleSeries;
 namespace stats = sharp::stats;
+
+/** A series holding @p values, appended in order. */
+SampleSeries
+seriesOf(std::initializer_list<double> values)
+{
+    SampleSeries s;
+    for (double v : values)
+        s.append(v);
+    return s;
+}
 
 TEST(SampleSeries, EmptyStateIsSane)
 {
@@ -57,7 +68,7 @@ TEST(SampleSeries, SingleSample)
 
 TEST(SampleSeries, HalvesSplitInArrivalOrder)
 {
-    SampleSeries s({1.0, 2.0, 3.0, 4.0, 5.0});
+    SampleSeries s = seriesOf({1.0, 2.0, 3.0, 4.0, 5.0});
     auto first = s.firstHalf();
     auto second = s.secondHalf();
     ASSERT_EQ(first.size(), 2u);
@@ -70,7 +81,7 @@ TEST(SampleSeries, HalvesSplitInArrivalOrder)
 
 TEST(SampleSeries, TailReturnsLastN)
 {
-    SampleSeries s({1.0, 2.0, 3.0, 4.0});
+    SampleSeries s = seriesOf({1.0, 2.0, 3.0, 4.0});
     auto t = s.tail(2);
     ASSERT_EQ(t.size(), 2u);
     EXPECT_DOUBLE_EQ(t[0], 3.0);
@@ -80,7 +91,7 @@ TEST(SampleSeries, TailReturnsLastN)
 
 TEST(SampleSeries, ClearResetsEverything)
 {
-    SampleSeries s({5.0, 6.0});
+    SampleSeries s = seriesOf({5.0, 6.0});
     s.clear();
     EXPECT_TRUE(s.empty());
     EXPECT_DOUBLE_EQ(s.mean(), 0.0);
@@ -91,7 +102,7 @@ TEST(SampleSeries, ClearResetsEverything)
 
 TEST(SampleSeries, IndexAccessInArrivalOrder)
 {
-    SampleSeries s({9.0, 7.0, 8.0});
+    SampleSeries s = seriesOf({9.0, 7.0, 8.0});
     EXPECT_DOUBLE_EQ(s[0], 9.0);
     EXPECT_DOUBLE_EQ(s[2], 8.0);
     EXPECT_EQ(s.values().size(), 3u);
@@ -108,7 +119,7 @@ TEST(SampleSeries, AppendAllAccumulates)
 
 TEST(SampleSeries, NegativeAndMixedValues)
 {
-    SampleSeries s({-5.0, 0.0, 5.0});
+    SampleSeries s = seriesOf({-5.0, 0.0, 5.0});
     EXPECT_DOUBLE_EQ(s.mean(), 0.0);
     EXPECT_DOUBLE_EQ(s.min(), -5.0);
     EXPECT_DOUBLE_EQ(s.max(), 5.0);
@@ -153,11 +164,11 @@ TEST(SampleSeries, StreamingKurtosisTracksBatch)
 
 TEST(SampleSeries, HigherMomentsDegenerateCases)
 {
-    SampleSeries tiny({1.0, 2.0});
+    SampleSeries tiny = seriesOf({1.0, 2.0});
     EXPECT_DOUBLE_EQ(tiny.skewness(), 0.0); // n < 3
-    SampleSeries three({1.0, 2.0, 3.0});
+    SampleSeries three = seriesOf({1.0, 2.0, 3.0});
     EXPECT_DOUBLE_EQ(three.excessKurtosis(), 0.0); // n < 4
-    SampleSeries flat({4.0, 4.0, 4.0, 4.0, 4.0});
+    SampleSeries flat = seriesOf({4.0, 4.0, 4.0, 4.0, 4.0});
     EXPECT_DOUBLE_EQ(flat.skewness(), 0.0); // zero variance
     EXPECT_DOUBLE_EQ(flat.excessKurtosis(), 0.0);
 }

@@ -27,6 +27,7 @@
 #include "rng/synthetic.hh"
 #include "stats/ci.hh"
 #include "stats/kde.hh"
+#include "support/samplers.hh"
 
 namespace
 {
@@ -152,7 +153,9 @@ TEST(KsHalvesRule, KeepsGoingWhileShapeDrifts)
 TEST(KsHalvesRule, CriterionIsTheKsValue)
 {
     KsHalvesRule rule(0.5, 4);
-    SampleSeries series({1.0, 2.0, 1.0, 2.0});
+    SampleSeries series;
+    for (double v : {1.0, 2.0, 1.0, 2.0})
+        series.append(v);
     StopDecision d = rule.evaluate(series);
     EXPECT_GE(d.criterion, 0.0);
     EXPECT_LE(d.criterion, 1.0);
