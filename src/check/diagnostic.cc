@@ -236,6 +236,22 @@ throwIfErrors(CheckResult result)
         throw CheckFailure(std::move(result));
 }
 
+void
+rethrowAtFile(const std::string &path)
+{
+    CheckResult located;
+    located.setArtifact(path);
+    try {
+        throw;
+    } catch (const json::ParseError &problem) {
+        located.syntaxError(problem);
+    } catch (const CheckFailure &failure) {
+        for (const Diagnostic &finding : failure.result().diagnostics())
+            located.add(finding);
+    }
+    throw CheckFailure(std::move(located));
+}
+
 namespace
 {
 

@@ -176,6 +176,14 @@ class CheckFailure : public std::invalid_argument
 void throwIfErrors(CheckResult result);
 
 /**
+ * Call only from a catch block of a strict loader that read the file
+ * at @p path: rethrows a JSON syntax error or a CheckFailure as one
+ * CheckFailure whose findings name @p path, as `sharp check` prints
+ * them. Any other exception propagates unchanged.
+ */
+[[noreturn]] void rethrowAtFile(const std::string &path);
+
+/**
  * The entry of @p known that @p name is plausibly a typo for (within
  * two edits; the closest, first on a tie); empty when there is none.
  */

@@ -46,7 +46,7 @@ ingestCsv(const std::string &path, const CaptureOptions &options)
             continue;
         }
         auto value = util::parseDouble(table.cell(r, *metricCol));
-        if (!value)
+        if (!value || !std::isfinite(*value))
             continue;
         const std::string &name =
             groupCol ? table.cell(r, *groupCol) : std::string("all");
@@ -266,7 +266,11 @@ loadBundle(const std::string &path)
 {
     std::string file =
         fs::is_directory(path) ? bundleFile(path, false) : path;
-    return BaselineBundle::fromJson(json::parseFile(file));
+    try {
+        return BaselineBundle::fromJson(json::parseFile(file));
+    } catch (...) {
+        check::rethrowAtFile(file);
+    }
 }
 
 void

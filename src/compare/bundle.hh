@@ -97,8 +97,9 @@ struct FileSamples
 /**
  * The samples of one tidy CSV, by the one row rule for recorded runs:
  * a warmup row or a failed attempt never counts, and a metric cell
- * that is not a number is skipped. Rows group by the options.groupBy
- * column; a missing column or an empty cell groups as "all".
+ * that is not a finite number (`nan` and `inf` included) is skipped.
+ * Rows group by the options.groupBy column; a missing column or an
+ * empty cell groups as "all".
  * @throws std::runtime_error on unreadable input or a missing metric
  *         column.
  */
@@ -129,7 +130,8 @@ std::string saveBundle(const BaselineBundle &bundle,
 
 /**
  * Load a bundle from a file, or from a directory holding
- * baseline.json. @throws CheckFailure on a malformed document,
+ * baseline.json. @throws CheckFailure, its findings located in that
+ * file, when it is not JSON or not a valid bundle;
  * std::runtime_error on I/O failure.
  */
 BaselineBundle loadBundle(const std::string &path);

@@ -89,22 +89,13 @@ StatsCache::invalidate()
     warmMedian.clear();
 }
 
-size_t
-StatsCache::tailLimit() const
-{
-    // Small enough that tail insertion stays cheap, large enough that
-    // body merges amortize away: O(min(n/8, 2048)) insertion moves and
-    // O(log n) comparisons per append.
-    return std::max<size_t>(64, std::min<size_t>(body.size() / 8, 2048));
-}
-
 void
 StatsCache::mergeTail()
 {
-    // Dispatched run-batched merge. The kernel emits exactly the
-    // sequence std::merge with CountingLess would (ties from the body
-    // first) and returns that comparator's invocation count, so both
-    // the sorted view and the work counters stay backend-invariant.
+    // Dispatched merge. The kernel emits exactly the sequence
+    // std::merge with CountingLess would (ties from the body first)
+    // and returns that comparator's invocation count, so both the
+    // sorted view and the work counters stay backend-invariant.
     mergeScratch.resize(body.size() + sortedTail.size());
     work.comparisons += simd::kernels().mergeSorted(
         body.data(), body.size(), sortedTail.data(), sortedTail.size(),
@@ -123,7 +114,7 @@ StatsCache::ingest(double value)
     auto tail_pos = std::lower_bound(sortedTail.begin(), sortedTail.end(),
                                      value, cmp);
     sortedTail.insert(tail_pos, value);
-    if (sortedTail.size() > tailLimit())
+    if (sortedTail.size() > statsCacheTailLimit(body.size()))
         mergeTail();
 
     // Half-split KS state. The new sample has the highest arrival
@@ -195,12 +186,28 @@ StatsCache::sorted()
 double
 StatsCache::orderStatTwoRuns(size_t k)
 {
-    // The binary-search probe sequence is the counter contract, so
-    // every simd backend binds the same scalar implementation; the
-    // dispatch keeps the call shape uniform with the other kernels.
-    return simd::kernels().orderStatTwoRuns(
-        body.data(), body.size(), sortedTail.data(), sortedTail.size(),
-        k, &work.comparisons);
+    // Binary search the split: take `lo` elements from the body and
+    // k - lo from the tail such that they are exactly the k smallest
+    // overall. The probe sequence is the comparison-counter contract.
+    CountingLess cmp{&work.comparisons};
+    const size_t na = body.size(), nb = sortedTail.size();
+    size_t lo = k > nb ? k - nb : 0;
+    size_t hi = std::min(k, na);
+    while (lo < hi) {
+        size_t i = (lo + hi) / 2;
+        size_t j = k - i;
+        // The comparator runs only when the tail probe exists.
+        if (j > 0 && cmp(body[i], sortedTail[j - 1]))
+            lo = i + 1;
+        else
+            hi = i;
+    }
+    size_t j = k - lo;
+    if (lo >= na)
+        return sortedTail[j];
+    if (j >= nb)
+        return body[lo];
+    return cmp(sortedTail[j], body[lo]) ? sortedTail[j] : body[lo];
 }
 
 double

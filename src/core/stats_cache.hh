@@ -50,6 +50,7 @@
 #ifndef SHARP_CORE_STATS_CACHE_HH
 #define SHARP_CORE_STATS_CACHE_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -74,6 +75,19 @@ class SampleSeries;
  * 0.24x at n=100.
  */
 inline constexpr size_t kStatsCacheCutover = 256;
+
+/**
+ * How many samples the sorted tail holds before it is merged into a
+ * sorted body of @p body samples: small enough that tail insertion
+ * stays cheap, large enough that body merges amortize away —
+ * O(min(n/8, 2048)) insertion moves and O(log n) comparisons per
+ * append. bench/stopping_hotpath times the merges of this shape.
+ */
+inline constexpr size_t
+statsCacheTailLimit(size_t body)
+{
+    return std::max<size_t>(64, std::min<size_t>(body / 8, 2048));
+}
 
 /**
  * Deterministic work counters, the currency of the perf-regression
@@ -169,7 +183,6 @@ class StatsCache
     void sync();
     void ingest(double value);
     void mergeTail();
-    size_t tailLimit() const;
     double orderStatTwoRuns(size_t k);
     double coverageAt(size_t k);
     double varianceMemo();

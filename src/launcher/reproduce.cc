@@ -590,6 +590,8 @@ runCampaign(const ReproSpec &spec, const CampaignIo &io)
         run.spec.backendKind == "faas") {
         run.report.log.setSystemInfo(record::describeSimulatedMachine(
             sim::machineById(run.spec.machines.front())));
+    } else if (run.spec.backendKind == "local") {
+        run.report.log.setSystemInfo(record::captureHostInfo());
     }
     return run;
 }

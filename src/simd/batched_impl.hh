@@ -1,18 +1,17 @@
 /**
  * @file
- * The run-batched merge walk (used by the NEON backend; x86 backends
- * use the bitonic network in merge256.hh instead, which wins on the
- * short-run interleavings that starve run batching), templated on an
- * Ops policy the backend defines with its intrinsics:
+ * The run-batched merge walk of the NEON backend, templated on an Ops
+ * policy the backend defines with its intrinsics. It pays on the
+ * engine's merges, a short sorted tail folded into a long body, where
+ * most elements sit in long body runs; on x86 no merge kernel beat the
+ * scalar loop on that shape, so AVX2 binds the scalar merge.
  *
  *   struct Ops {
  *     // Any NaN among the n doubles?
  *     static bool hasNan(const double *p, size_t n);
- *     // Length of the leading run with p[x] <= bound (resp. < bound).
- *     static size_t runLenLE(const double *p, size_t n, double bound);
- *     static size_t runLenLT(const double *p, size_t n, double bound);
- *     // Same, but also copy the run to out (speculative full-width
- *     // stores allowed: callers guarantee out has n + 1 slots).
+ *     // Copy the leading run with p[x] <= bound (resp. < bound) to
+ *     // out and return its length (speculative full-width stores
+ *     // allowed: callers guarantee out has n + 1 slots).
  *     static size_t copyRunLE(const double *p, size_t n, double bound,
  *                             double *out);
  *     static size_t copyRunLT(const double *p, size_t n, double bound,

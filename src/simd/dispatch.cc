@@ -25,9 +25,9 @@ namespace simd
 namespace
 {
 
-/** The four backends best-first: the probe order of resolveBackend. */
-constexpr Backend kProbeOrder[] = {Backend::Avx512, Backend::Avx2,
-                                   Backend::Neon, Backend::Scalar};
+/** The three backends best-first: the probe order of resolveBackend. */
+constexpr Backend kProbeOrder[] = {Backend::Avx2, Backend::Neon,
+                                   Backend::Scalar};
 
 std::atomic<const KernelTable *> &
 activeTablePointer()
@@ -69,8 +69,6 @@ backendName(Backend backend)
         return "neon";
     case Backend::Avx2:
         return "avx2";
-    case Backend::Avx512:
-        return "avx512";
     }
     return "scalar";
 }
@@ -78,7 +76,7 @@ backendName(Backend backend)
 std::vector<std::string>
 knownBackendNames()
 {
-    return {"avx512", "avx2", "neon", "scalar"};
+    return {"avx2", "neon", "scalar"};
 }
 
 Backend
@@ -90,11 +88,8 @@ parseBackendName(const std::string &name)
         return Backend::Neon;
     if (name == "avx2")
         return Backend::Avx2;
-    if (name == "avx512")
-        return Backend::Avx512;
     std::string message = "unknown SIMD backend '" + name +
-                          "'; known backends: avx512, avx2, neon, "
-                          "scalar";
+                          "'; known backends: avx2, neon, scalar";
     std::string hint = check::suggestName(name, knownBackendNames());
     if (!hint.empty())
         message += " — " + hint;
@@ -115,12 +110,6 @@ backendCompiled(Backend backend)
 #endif
     case Backend::Avx2:
 #if defined(SHARP_SIMD_HAVE_AVX2)
-        return true;
-#else
-        return false;
-#endif
-    case Backend::Avx512:
-#if defined(SHARP_SIMD_HAVE_AVX512)
         return true;
 #else
         return false;
@@ -146,17 +135,6 @@ backendSupported(Backend backend)
     case Backend::Avx2:
 #if defined(__x86_64__) || defined(__i386__)
         return __builtin_cpu_supports("avx2") != 0;
-#else
-        return false;
-#endif
-    case Backend::Avx512:
-        // The avx512 TU is compiled with f/bw/dq/vl (the Skylake-X
-        // baseline), so require all four.
-#if defined(__x86_64__) || defined(__i386__)
-        return __builtin_cpu_supports("avx512f") != 0 &&
-               __builtin_cpu_supports("avx512bw") != 0 &&
-               __builtin_cpu_supports("avx512dq") != 0 &&
-               __builtin_cpu_supports("avx512vl") != 0;
 #else
         return false;
 #endif
@@ -195,12 +173,6 @@ kernelTable(Backend backend)
     case Backend::Avx2:
 #if defined(SHARP_SIMD_HAVE_AVX2)
         return detail::avx2Table();
-#else
-        break;
-#endif
-    case Backend::Avx512:
-#if defined(SHARP_SIMD_HAVE_AVX512)
-        return detail::avx512Table();
 #else
         break;
 #endif

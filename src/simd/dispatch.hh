@@ -4,45 +4,53 @@
  *
  * The incremental engine (core::StatsCache) made the stopping-rule hot
  * path sub-linear in *work*; what remains is the per-element cost of
- * four kernels: the sorted-run merge behind the lazily-merged view,
- * the two-run order-statistic search, the half-split KS merge walk,
- * and the Kahan/moment accumulation loops. This module gives each of
- * those a function-pointer slot in a KernelTable and selects an
- * implementation once per process: a CPUID probe picks the best
- * backend in priority order AVX-512 > AVX2 > NEON > scalar, and the
- * `SHARP_SIMD_BACKEND` environment variable overrides the probe
- * (unknown or unsupported names fail fast, with a did-you-mean hint).
- * The launcher records the dispatched backend as `repro_simd_backend`
- * in repro metadata so an artifact always names the code that ran.
+ * three kernels: the sorted-run merge behind the lazily-merged view,
+ * the half-split KS merge walk, and the squared-deviation loop of the
+ * variance. This module gives each of those a function-pointer slot in
+ * a KernelTable and selects an implementation once per process: a
+ * CPUID probe picks the best backend in priority order AVX2 > NEON >
+ * scalar, and the `SHARP_SIMD_BACKEND` environment variable overrides
+ * the probe (unknown or unsupported names fail fast, with a
+ * did-you-mean hint). The launcher records the dispatched backend as
+ * `repro_simd_backend` in repro metadata so an artifact always names
+ * the code that ran.
+ *
+ * A backend binds its own kernel to a slot only where the shapes the
+ * engine produces pay for it, and the scalar reference otherwise:
+ *
+ *  - mergeSorted: StatsCache folds a short sorted tail (at most 2049
+ *    elements) into a long body, so the merge is mostly long runs of
+ *    body elements. NEON's run-batched walk consumes those runs in
+ *    vector compares; on x86 a merge network measured slower than the
+ *    scalar loop on that shape, so AVX2 binds the scalar merge.
+ *  - ksSorted: the chunked walk (chunked.cc) breaks the scalar walk's
+ *    serial dependency chain; the vector backends contribute the NaN
+ *    prescan that routes NaN-bearing inputs to the reference walk.
+ *  - sumSquaredDeviations: lanes batch the elementwise (v - m)^2 work.
  *
  * Exactness contract: every backend returns bit-for-bit the values of
  * the scalar reference on the same input, and backend-invariant work
  * counters (the currency of the bench gate):
  *
- *  - mergeSorted / ksSorted batch the two-pointer walks by consuming
- *    whole runs found with vector compares; elements are only moved
- *    and the evaluation points are provably the same, so bits cannot
- *    change. Inputs containing NaN fall back to the scalar reference
- *    (one vectorized prescan), keeping the NaN-last deterministic
- *    ordering contract of core::StatsCache.
- *  - orderStatTwoRuns is a comparison-count contract (its probes are
- *    counted by the bench gate), so every backend binds the same
- *    O(log) search; there is nothing for lanes to win there.
- *  - kahanSum is a loop-carried dependence chain by definition — the
- *    compensation term feeds the next add — so every backend binds the
- *    sequential reference; vectorizing it would change the reduction
- *    order and therefore the bits.
- *  - sumSquaredDeviations vectorizes the elementwise (v - m)^2 work
- *    but accumulates lane results in element order, which keeps the
- *    adds — and the bits — identical to the scalar loop. Every simd
- *    translation unit is compiled with -ffp-contract=off so no backend
- *    can fuse the multiply-add and round differently.
+ *  - NEON's mergeSorted consumes whole runs found with vector
+ *    compares, and the chunked ksSorted runs the scalar loop body from
+ *    exact co-rank splits; elements are only moved and the evaluation
+ *    points are provably the same, so bits cannot change. Inputs
+ *    containing NaN fall back to the scalar reference (one vectorized
+ *    prescan), keeping the NaN-last deterministic ordering contract of
+ *    core::StatsCache.
+ *  - sumSquaredDeviations accumulates lane results in element order,
+ *    which keeps the adds — and the bits — identical to the scalar
+ *    loop. Every simd translation unit is compiled with
+ *    -ffp-contract=off so no backend can fuse the multiply-add and
+ *    round differently.
  *
  * The parity suite (tests/test_simd.cc, label `simd`) runs every
  * compiled backend against scalar on randomized and adversarial
- * inputs; bench/stopping_hotpath times the kernels per backend and
- * gates vector backends at >= 1.5x over scalar on the merge and KS
- * kernels at n = 1e5.
+ * inputs; bench/stopping_hotpath times the kernels per backend on the
+ * engine's own merge shapes, gates the dispatched vector backend at
+ * >= 1.5x over scalar on the KS kernel at n = 1e5, and gates a backend
+ * with its own merge kernel at >= 1.0x on the merges.
  */
 
 #ifndef SHARP_SIMD_DISPATCH_HH
@@ -64,7 +72,6 @@ enum class Backend
     Scalar = 0,
     Neon,
     Avx2,
-    Avx512,
 };
 
 /**
@@ -93,25 +100,13 @@ struct KernelTable
                        size_t nb);
 
     /**
-     * The k-th smallest (0-based) of the union of two ascending runs;
-     * requires k < na + nb and at least one element overall. Adds its
-     * comparator invocations to @p comparisons.
-     */
-    double (*orderStatTwoRuns)(const double *a, size_t na,
-                               const double *b, size_t nb, size_t k,
-                               uint64_t *comparisons);
-
-    /** Left-to-right Kahan-compensated sum (stats::mean's loop). */
-    double (*kahanSum)(const double *v, size_t n);
-
-    /**
      * Sum of squared deviations about @p m, accumulated in element
      * order (stats::variance's loop).
      */
     double (*sumSquaredDeviations)(const double *v, size_t n, double m);
 };
 
-/** Lowercase stable name: "scalar", "neon", "avx2", "avx512". */
+/** Lowercase stable name: "scalar", "neon", "avx2". */
 const char *backendName(Backend backend);
 
 /** Every backend name this build could ever accept, probe order. */
@@ -138,7 +133,7 @@ bool backendRunnable(Backend backend);
 
 /**
  * The backend @p request selects: null/empty picks the best runnable
- * backend (AVX-512 > AVX2 > NEON > scalar); otherwise the named
+ * backend (AVX2 > NEON > scalar); otherwise the named
  * backend, validated.
  * @throws std::invalid_argument for unknown names (did-you-mean hint)
  *         and for backends this build or CPU cannot run.

@@ -20,13 +20,6 @@ namespace simd
 namespace detail
 {
 
-/**
- * The NaN-aware strict weak ordering shared with core::StatsCache:
- * exactly operator< on NaN-free data, NaNs one equivalence class at
- * the end otherwise.
- */
-bool nanLess(double a, double b);
-
 uint64_t mergeSortedScalar(const double *a, size_t na, const double *b,
                            size_t nb, double *out);
 double ksSortedScalar(const double *a, size_t na, const double *b,
@@ -42,10 +35,6 @@ double ksSortedScalar(const double *a, size_t na, const double *b,
 double ksSortedReferenceScalar(const double *a, size_t na,
                                const double *b, size_t nb);
 
-double orderStatTwoRunsScalar(const double *a, size_t na,
-                              const double *b, size_t nb, size_t k,
-                              uint64_t *comparisons);
-double kahanSumScalar(const double *v, size_t n);
 double sumSquaredDeviationsScalar(const double *v, size_t n, double m);
 
 /**
@@ -62,7 +51,6 @@ double ksSortedChunked(const double *a, size_t na, const double *b,
 
 const KernelTable &scalarTable();
 const KernelTable &avx2Table();
-const KernelTable &avx512Table();
 const KernelTable &neonTable();
 
 } // namespace detail

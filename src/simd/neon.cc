@@ -44,42 +44,6 @@ struct NeonOps
     }
 
     static size_t
-    runLenLE(const double *p, size_t n, double bound)
-    {
-        const float64x2_t vb = vdupq_n_f64(bound);
-        size_t r = 0;
-        while (r + 2 <= n) {
-            uint64x2_t le = vcleq_f64(vld1q_f64(p + r), vb);
-            if (vgetq_lane_u64(le, 0) == 0)
-                return r;
-            if (vgetq_lane_u64(le, 1) == 0)
-                return r + 1;
-            r += 2;
-        }
-        while (r < n && p[r] <= bound)
-            ++r;
-        return r;
-    }
-
-    static size_t
-    runLenLT(const double *p, size_t n, double bound)
-    {
-        const float64x2_t vb = vdupq_n_f64(bound);
-        size_t r = 0;
-        while (r + 2 <= n) {
-            uint64x2_t lt = vcltq_f64(vld1q_f64(p + r), vb);
-            if (vgetq_lane_u64(lt, 0) == 0)
-                return r;
-            if (vgetq_lane_u64(lt, 1) == 0)
-                return r + 1;
-            r += 2;
-        }
-        while (r < n && p[r] < bound)
-            ++r;
-        return r;
-    }
-
-    static size_t
     copyRunLE(const double *p, size_t n, double bound, double *out)
     {
         const float64x2_t vb = vdupq_n_f64(bound);
@@ -171,8 +135,8 @@ const KernelTable &
 neonTable()
 {
     static const KernelTable table = {
-        &mergeSortedNeon,        &ksSortedNeon,
-        &orderStatTwoRunsScalar, &kahanSumScalar,
+        &mergeSortedNeon,
+        &ksSortedNeon,
         &sumSquaredDeviationsNeon,
     };
     return table;

@@ -20,7 +20,14 @@ namespace simd
 {
 namespace detail
 {
+namespace
+{
 
+/**
+ * The NaN-aware strict weak ordering of core::StatsCache's comparator:
+ * exactly operator< on NaN-free data, NaNs one equivalence class at
+ * the end otherwise.
+ */
 bool
 nanLess(double a, double b)
 {
@@ -30,6 +37,8 @@ nanLess(double a, double b)
         return false;
     return a < b;
 }
+
+} // anonymous namespace
 
 uint64_t
 mergeSortedScalar(const double *a, size_t na, const double *b,
@@ -167,53 +176,6 @@ ksSortedScalar(const double *a, size_t na, const double *b, size_t nb)
 }
 
 double
-orderStatTwoRunsScalar(const double *a, size_t na, const double *b,
-                       size_t nb, size_t k, uint64_t *comparisons)
-{
-    // Binary search the split: take `lo` elements from a and k - lo
-    // from b such that they are exactly the k smallest overall. The
-    // probe sequence *is* the counter contract, so every backend binds
-    // this one implementation.
-    size_t lo = k > nb ? k - nb : 0;
-    size_t hi = std::min(k, na);
-    while (lo < hi) {
-        size_t i = (lo + hi) / 2;
-        size_t j = k - i;
-        bool go_right = false;
-        if (j > 0) {
-            // Comparator invoked only when the left-run probe exists,
-            // exactly like the short-circuited original.
-            ++*comparisons;
-            go_right = nanLess(a[i], b[j - 1]);
-        }
-        if (go_right)
-            lo = i + 1;
-        else
-            hi = i;
-    }
-    size_t j = k - lo;
-    if (lo >= na)
-        return b[j];
-    if (j >= nb)
-        return a[lo];
-    ++*comparisons;
-    return nanLess(b[j], a[lo]) ? b[j] : a[lo];
-}
-
-double
-kahanSumScalar(const double *v, size_t n)
-{
-    double sum = 0.0, comp = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-        double y = v[i] - comp;
-        double t = sum + y;
-        comp = (t - sum) - y;
-        sum = t;
-    }
-    return sum;
-}
-
-double
 sumSquaredDeviationsScalar(const double *v, size_t n, double m)
 {
     double ss = 0.0;
@@ -228,8 +190,8 @@ const KernelTable &
 scalarTable()
 {
     static const KernelTable table = {
-        &mergeSortedScalar,       &ksSortedScalar,
-        &orderStatTwoRunsScalar,  &kahanSumScalar,
+        &mergeSortedScalar,
+        &ksSortedScalar,
         &sumSquaredDeviationsScalar,
     };
     return table;

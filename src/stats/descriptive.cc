@@ -31,10 +31,16 @@ mean(const std::vector<double> &values)
     requireNonEmpty(values, "mean");
     // Pairwise-ish accumulation is overkill here; Kahan summation keeps
     // error bounded for the long series the launcher accumulates. The
-    // loop lives in src/simd (every backend keeps the serial Kahan
-    // recurrence, so the bits are backend-invariant).
-    return simd::kernels().kahanSum(values.data(), values.size()) /
-           static_cast<double>(values.size());
+    // compensation feeds the next add, so the loop is serial by
+    // definition: lanes would change the reduction order and the bits.
+    double sum = 0.0, comp = 0.0;
+    for (double v : values) {
+        double y = v - comp;
+        double t = sum + y;
+        comp = (t - sum) - y;
+        sum = t;
+    }
+    return sum / static_cast<double>(values.size());
 }
 
 double

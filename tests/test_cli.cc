@@ -193,6 +193,47 @@ TEST(Cli, ReproduceWarnsOnSimdBackendMismatch)
     fs::remove(path);
 }
 
+TEST(Cli, RetiredAvx512MetadataChecksAndReproduces)
+{
+    // AVX-512 hosts recorded `repro_simd_backend: avx512` until that
+    // backend was retired (they now dispatch avx2). Its results were
+    // bit-identical, so such a .md still checks, and reproduces the
+    // CSV a replay of the same campaign writes.
+    sharp::launcher::ReproSpec spec;
+    spec.backendKind = "sim";
+    spec.workload = "hotspot";
+    spec.machines = {"machine1"};
+    spec.experiment.ruleName = "fixed";
+    spec.experiment.ruleParams = {{"count", 20}};
+    spec.experiment.options.maxSamples = 200;
+    sharp::record::RunLog log("hotspot");
+    sharp::launcher::annotate(log, spec);
+    sharp::record::MetadataDocument doc = log.toMetadata();
+    fs::path dir = fs::temp_directory_path() / "sharp_cli_avx512_meta";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    std::string native = (dir / "native.md").string();
+    doc.save(native);
+    doc.set("Configuration", "repro_simd_backend", "avx512");
+    std::string retired = (dir / "avx512.md").string();
+    doc.save(retired);
+
+    CliResult checked = run({"check", retired});
+    EXPECT_EQ(checked.status, 0) << checked.out;
+    EXPECT_EQ(checked.out.find("unknown-simd-backend"), std::string::npos);
+
+    CliResult replay = run({"reproduce", retired, "--out",
+                            (dir / "avx512").string()});
+    EXPECT_EQ(replay.status, 0) << replay.err;
+    EXPECT_NE(replay.err.find("SIMD backend 'avx512'"), std::string::npos);
+    ASSERT_EQ(run({"reproduce", native, "--out", (dir / "native").string()})
+                  .status,
+              0);
+    EXPECT_EQ(readFileText((dir / "avx512.csv").string()),
+              readFileText((dir / "native.csv").string()));
+    fs::remove_all(dir);
+}
+
 TEST(Cli, RunRejectsBadNumbers)
 {
     // Each bad value exits 2 with a `run: --flag must be ...` line
@@ -830,6 +871,102 @@ TEST(Cli, BaselineCompareExitContract)
     EXPECT_EQ(bad.status, 2) << bad.out;
     EXPECT_NE(bad.err.find("compare:"), std::string::npos);
 
+    fs::remove_all(dir);
+}
+
+TEST(Cli, NonFiniteMetricCellsAreUnusable)
+{
+    // A `nan` or `inf` metric cell is skipped like any cell that is
+    // not a number: report, compare and gate print what they print for
+    // an `n/a` cell, and a bundle captured from it checks clean.
+    fs::path dir = fs::temp_directory_path() / "sharp_cli_poisoned";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    auto path = [&dir](const std::string &name) {
+        return (dir / name).string();
+    };
+    ASSERT_EQ(run({"run", "--workload", "bfs", "--rule", "fixed",
+                   "--count", "30", "--seed", "7", "--out", path("base")})
+                  .status,
+              0);
+    std::vector<std::string> rows;
+    {
+        std::istringstream in(readFileText(path("base.csv")));
+        for (std::string line; std::getline(in, line);)
+            rows.push_back(line);
+    }
+    ASSERT_GT(rows.size(), 12u);
+
+    // The candidate is 1.5x slower (a gate FAIL), with two rows'
+    // execution_time (the last field) replaced by @p cell.
+    auto writeCandidate = [&](const std::string &cell) {
+        std::ofstream out(path("cand.csv"));
+        out << rows[0] << "\n";
+        for (size_t r = 1; r < rows.size(); ++r) {
+            size_t comma = rows[r].rfind(',');
+            out << rows[r].substr(0, comma + 1);
+            if (r == 3 || r == 11)
+                out << cell;
+            else
+                out << std::stod(rows[r].substr(comma + 1)) * 1.5;
+            out << "\n";
+        }
+    };
+    auto outputs = [&] {
+        std::string all;
+        for (const std::vector<std::string> &argv :
+             std::vector<std::vector<std::string>>{
+                 {"report", path("cand.csv")},
+                 {"compare", path("base.csv"), path("cand.csv")},
+                 {"gate", path("base.csv"), path("cand.csv")}}) {
+            CliResult result = run(argv);
+            all += argv[0] + " exit " + std::to_string(result.status) +
+                   "\n" + result.out + result.err;
+        }
+        return all;
+    };
+    writeCandidate("n/a");
+    const std::string skipped = outputs();
+    EXPECT_NE(skipped.find("gate exit 1"), std::string::npos) << skipped;
+
+    for (const char *cell : {"nan", "inf", "-inf"}) {
+        SCOPED_TRACE(cell);
+        writeCandidate(cell);
+        EXPECT_EQ(outputs(), skipped);
+        CliResult capture = run({"baseline", "capture", path("cand.csv"),
+                                 "--out", path("bundle.json")});
+        ASSERT_EQ(capture.status, 0) << capture.err;
+        CliResult check = run({"check", path("bundle.json")});
+        EXPECT_EQ(check.status, 0) << check.out;
+    }
+    fs::remove_all(dir);
+}
+
+TEST(Cli, CompareAgainstNamesTheBundleItRejects)
+{
+    // A bundle that fails its check, or is not JSON, is reported at
+    // its file, line and column, as `sharp check` reports it.
+    fs::path dir = fs::temp_directory_path() / "sharp_cli_bad_against";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    std::string csv = (dir / "runs.csv").string();
+    ASSERT_EQ(run({"run", "--workload", "bfs", "--rule", "fixed",
+                   "--count", "10", "--seed", "7", "--out",
+                   (dir / "runs").string()})
+                  .status,
+              0);
+    std::string malformed =
+        std::string(SHARP_SOURCE_DIR) + "/tests/fixtures/check/bad_bundle.json";
+    std::string not_json = (dir / "not_json.json").string();
+    std::ofstream(not_json) << "{\"schema\": ";
+    for (const std::string &bundle : {malformed, not_json}) {
+        SCOPED_TRACE(bundle);
+        CliResult bad = run({"compare", csv, "--against", bundle});
+        EXPECT_EQ(bad.status, 2) << bad.out;
+        EXPECT_EQ(bad.err.rfind("compare: " + bundle + ":", 0), 0u)
+            << bad.err;
+        EXPECT_NE(bad.err.find(": error: "), std::string::npos) << bad.err;
+    }
     fs::remove_all(dir);
 }
 

@@ -13,7 +13,10 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <optional>
 #include <sstream>
+
+#include <unistd.h>
 
 #include "check/analyzer.hh"
 #include "check/diagnostic.hh"
@@ -200,12 +203,26 @@ TEST(TextArtifacts, LocalBackendMetadataReproduces)
     std::string base = (dir / "run").string();
     ASSERT_EQ(run({"run", "--config", spec, "--out", base}).status, 0);
 
+    // A campaign on the real host records that host, as sim, phased
+    // and FaaS campaigns record their simulated machine.
+    check::CheckResult parsed;
+    record::MetadataDocument doc = record::MetadataDocument::parse(
+        readFileText(base + ".md"), parsed);
+    char host[256] = {};
+    ASSERT_EQ(gethostname(host, sizeof(host) - 1), 0);
+    EXPECT_EQ(doc.get("System Under Test", "hostname"),
+              std::optional<std::string>(host));
+    EXPECT_EQ(doc.get("System Under Test", "simulated"),
+              std::optional<std::string>("false"));
+
     CliResult again = run({"reproduce", base + ".md"});
     EXPECT_EQ(again.status, 0) << again.err;
     EXPECT_NE(again.out.find("reproduced 5 samples"), std::string::npos);
     CliResult check = run({"check", base + ".md"});
     EXPECT_EQ(check.status, 1) << check.out; // the nondeterminism warning
     EXPECT_EQ(check.out.find("bad-metadata"), std::string::npos);
+    EXPECT_NE(check.out.find(": 0 errors"), std::string::npos)
+        << check.out;
     fs::remove_all(dir);
 }
 
