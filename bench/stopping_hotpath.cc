@@ -2,14 +2,22 @@
  * @file
  * Perf-regression bench for the stopping-rule hot path.
  *
- * Three sections, written to stdout as tables and to
- * BENCH_stopping.json (see --out; schema sharp-bench-stopping-v3):
+ * Four sections, written to stdout as tables and to
+ * BENCH_stopping.json (see --out; schema sharp-bench-stopping-v4):
  *
- *  - Rule rows: the steady-state cost of one stopping-rule evaluation —
- *    append one sample, consult the rule — at series sizes 10^2..10^5
- *    on the incremental statistics engine (core::StatsCache): ns/eval
- *    plus the engine's deterministic work counters (structure
- *    comparisons, and binomial PMF terms or CDF evaluations, per eval).
+ *  - Rule rows: the steady-state cost of one exact stopping-rule
+ *    evaluation — append one sample, consult the rule — at series
+ *    sizes 10^2..10^5 on the incremental statistics engine
+ *    (core::StatsCache): ns/eval plus the engine's deterministic work
+ *    counters (structure comparisons, and binomial PMF terms or CDF
+ *    evaluations, per eval). The series' certified bounds are dropped
+ *    first, so a rule that could skip its O(n) pass on a bound (ks, ci,
+ *    normal-ci) is timed doing the pass.
+ *  - Certified-campaign rows: each of those three rules run as a
+ *    campaign from its first evaluation to a cap at a threshold no
+ *    sample meets, as perfbench's campaign workload runs them: ns per
+ *    round with the bounds on and with them dropped, and the share of
+ *    rounds a bound decided.
  *  - Accessor rows: the batch reference. Each engine accessor the
  *    rules read, called with the arguments they pass, is timed against
  *    the src/stats recomputation stats_cache.hh documents as its
@@ -281,6 +289,8 @@ measureRule(const RuleCase &rc, size_t n)
         auto rule =
             sharp::core::StoppingRuleFactory::instance().make(rc.rule);
         Stream stream(rc.stream, windowSeed(rc.rule, n, plan, w), n);
+        // Off for the whole window: every timed evaluation is exact.
+        stream.series.stats().dropBounds();
         rule->evaluate(stream.series);
 
         StatsEngineCounters before = stream.series.stats().counters();
@@ -299,6 +309,67 @@ measureRule(const RuleCase &rc, size_t n)
     return {best / static_cast<double>(plan.evals),
             static_cast<double>(work.comparisons) / evals,
             static_cast<double>(work.pmfEvals) / evals};
+}
+
+/** The rules whose evaluations a certified bound can decide. */
+const RuleCase certifiedCases[] = {
+    {"ks", "lognormal"}, {"ci", "lognormal"}, {"normal-ci", "normal"}};
+
+struct CampaignPoint
+{
+    double certifiedNsPerRound = 0.0;
+    double exactNsPerRound = 0.0;
+    double certifiedShare = 0.0;
+};
+
+/**
+ * One campaign of @p rounds rounds (append, evaluate) at threshold
+ * 1e-9, which no sample meets; @p exact drops the bounds first. Returns
+ * the elapsed ns and counts in @p certified the rounds a bound decided
+ * (both sides pay for the check).
+ */
+double
+campaignNs(const RuleCase &rc, size_t rounds, bool exact, size_t &certified)
+{
+    auto rule = sharp::core::StoppingRuleFactory::instance().make(
+        rc.rule, {{"threshold", 1e-9}});
+    Stream stream(rc.stream, windowSeed(rc.rule, rounds, {1, 1, 1}, 0), 0);
+    if (exact)
+        stream.series.stats().dropBounds();
+    certified = 0;
+    auto start = Clock::now();
+    for (size_t r = 0; r < rounds; ++r) {
+        stream.append();
+        if (stream.series.size() >= rule->minSamples() &&
+            rule->evaluate(stream.series)
+                .reason.ends_with("certified lower bound"))
+            ++certified;
+    }
+    return elapsedNs(start);
+}
+
+/**
+ * Two campaigns per side, the order flipping, each side's fastest
+ * kept: the first campaign of a process also fills the per-thread t
+ * quantile table, which would otherwise land on one side only.
+ */
+CampaignPoint
+measureCampaign(const RuleCase &rc, size_t rounds)
+{
+    double certified_ns = 0.0, exact_ns = 0.0;
+    size_t certified = 0;
+    for (bool exact_first : {true, false}) {
+        for (bool exact : {exact_first, !exact_first}) {
+            size_t count = 0;
+            double ns = campaignNs(rc, rounds, exact, count);
+            keepFastest(exact ? exact_ns : certified_ns, ns);
+            if (!exact)
+                certified = count;
+        }
+    }
+    double rounds_d = static_cast<double>(rounds);
+    return {certified_ns / rounds_d, exact_ns / rounds_d,
+            static_cast<double>(certified) / rounds_d};
 }
 
 /**
@@ -460,7 +531,7 @@ main(int argc, char **argv)
         sizes.push_back(100000);
 
     sharp::json::Value doc = sharp::json::Value::makeObject();
-    doc.set("schema", "sharp-bench-stopping-v3");
+    doc.set("schema", "sharp-bench-stopping-v4");
     doc.set("mode", quick ? "quick" : "full");
     doc.set("cutover", sharp::core::kStatsCacheCutover);
     sharp::json::Value size_arr = sharp::json::Value::makeArray();
@@ -520,6 +591,31 @@ main(int argc, char **argv)
         rules_json.append(std::move(rule_json));
     }
     doc.set("rules", std::move(rules_json));
+
+    // ---- Certified-campaign rows: bounds on against bounds dropped.
+    const size_t campaign_rounds = quick ? 10000 : 100000;
+    bench::section("certified campaigns, " +
+                   std::to_string(campaign_rounds) +
+                   " rounds at threshold 1e-9");
+    std::printf("%-10s %10s %16s %14s %10s\n", "rule", "stream",
+                "certified ns/rd", "exact ns/rd", "certified");
+    sharp::json::Value campaigns_json = sharp::json::Value::makeArray();
+    for (const RuleCase &rc : certifiedCases) {
+        CampaignPoint c = measureCampaign(rc, campaign_rounds);
+        std::printf("%-10s %10s %16.0f %14.0f %9.1f%%\n", rc.rule,
+                    rc.stream, c.certifiedNsPerRound, c.exactNsPerRound,
+                    100.0 * c.certifiedShare);
+        sharp::json::Value cj = sharp::json::Value::makeObject();
+        cj.set("rule", rc.rule);
+        cj.set("stream", rc.stream);
+        cj.set("rounds", campaign_rounds);
+        cj.set("threshold", 1e-9);
+        cj.set("certified_ns_per_round", c.certifiedNsPerRound);
+        cj.set("exact_ns_per_round", c.exactNsPerRound);
+        cj.set("certified_share", c.certifiedShare);
+        campaigns_json.append(std::move(cj));
+    }
+    doc.set("certified_campaigns", std::move(campaigns_json));
 
     // ---- Accessor rows: engine vs the src/stats recomputation.
     sharp::json::Value accessors_json = sharp::json::Value::makeArray();

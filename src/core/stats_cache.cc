@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "core/sample_series.hh"
@@ -64,7 +65,7 @@ StatsCache::batchMode() const
 {
     // The batch branches never touch the incremental structures, so a
     // small series pays nothing for the engine; the first access past
-    // the cutover ingests the whole series in one pass (sync()).
+    // the cutover ingests the whole series in one pass (catchUp()).
     return owner.size() <= kStatsCacheCutover;
 }
 
@@ -74,14 +75,20 @@ StatsCache::invalidate()
     body.clear();
     sortedTail.clear();
     mergeScratch.clear();
+    sortedSeen = 0;
     lowHalf.clear();
     highHalf.clear();
+    halvesSeen = 0;
     prefixMin.clear();
     prefixMax.clear();
-    kahanSum = 0.0;
-    kahanComp = 0.0;
-    seenVersion = 0;
-    seenCount = 0;
+    prefixSeen = 0;
+    kahanSum = kahanComp = 0.0;
+    shift = shiftedSum = shiftedAbsSum = shiftedSquares = 0.0;
+    allFinite = true;
+    momentsSeen = 0;
+    boundsDropped = false;
+    ksWalked = ksSlack = 0.0;
+    ksWalkedAt = ksSlackAt = 0;
     ksVersion = 0;
     ksValue = 0.0;
     varianceVersion = 0;
@@ -104,68 +111,99 @@ StatsCache::mergeTail()
     sortedTail.clear();
 }
 
+template <typename Ingest>
 void
-StatsCache::ingest(double value)
+StatsCache::catchUp(size_t &seen, Ingest ingest)
 {
-    CountingLess cmp{&work.comparisons};
-
-    // Sorted view: insert into the (small, sorted) tail, merging into
-    // the body once the tail outgrows its budget.
-    auto tail_pos = std::lower_bound(sortedTail.begin(), sortedTail.end(),
-                                     value, cmp);
-    sortedTail.insert(tail_pos, value);
-    if (sortedTail.size() > statsCacheTailLimit(body.size()))
-        mergeTail();
-
-    // Half-split KS state. The new sample has the highest arrival
-    // index, so it always lands in the high half; when floor(n/2)
-    // grows, the sample at the old boundary migrates low.
-    size_t idx = prefixMin.size(); // arrival index of `value`
-    size_t old_half = idx / 2;
-    size_t new_half = (idx + 1) / 2;
-    auto high_pos = std::lower_bound(highHalf.begin(), highHalf.end(),
-                                     value, cmp);
-    highHalf.insert(high_pos, value);
-    if (new_half > old_half) {
-        double boundary = owner.values()[old_half];
-        auto victim = std::lower_bound(highHalf.begin(), highHalf.end(),
-                                       boundary, cmp);
-        highHalf.erase(victim);
-        auto low_pos = std::lower_bound(lowHalf.begin(), lowHalf.end(),
-                                        boundary, cmp);
-        lowHalf.insert(low_pos, boundary);
-    }
-
-    // Prefix extrema, arrival order.
-    if (prefixMin.empty()) {
-        prefixMin.push_back(value);
-        prefixMax.push_back(value);
-    } else {
-        prefixMin.push_back(std::min(prefixMin.back(), value));
-        prefixMax.push_back(std::max(prefixMax.back(), value));
-    }
-
-    // Incremental Kahan: continuing the loop from stats::mean, so the
-    // running (sum, comp) pair is bit-equal to a fresh left-to-right
-    // pass over the whole series.
-    double y = value - kahanComp;
-    double t = kahanSum + y;
-    kahanComp = (t - kahanSum) - y;
-    kahanSum = t;
+    const std::vector<double> &v = owner.values();
+    // A series shorter than what a structure absorbed was cleared:
+    // every structure restarts (this zeroes @p seen too).
+    if (v.size() < seen)
+        invalidate();
+    for (; seen < v.size(); ++seen)
+        ingest(v[seen], seen);
 }
 
 void
-StatsCache::sync()
+StatsCache::syncSorted()
 {
-    const std::vector<double> &v = owner.values();
-    if (owner.version() == seenVersion && v.size() == seenCount)
-        return;
-    if (v.size() < seenCount)
-        invalidate();
-    for (size_t i = seenCount; i < v.size(); ++i)
-        ingest(v[i]);
-    seenCount = v.size();
-    seenVersion = owner.version();
+    // Insert into the (small, sorted) tail, merging into the body once
+    // the tail outgrows its budget.
+    catchUp(
+        sortedSeen,
+        [this](double value, size_t) {
+            CountingLess cmp{&work.comparisons};
+            auto pos = std::lower_bound(sortedTail.begin(),
+                                        sortedTail.end(), value, cmp);
+            sortedTail.insert(pos, value);
+            if (sortedTail.size() > statsCacheTailLimit(body.size()))
+                mergeTail();
+        });
+}
+
+void
+StatsCache::syncHalves()
+{
+    // The new sample has the highest arrival index, so it always lands
+    // in the high half; when floor(n/2) grows, the sample at the old
+    // boundary migrates low.
+    catchUp(
+        halvesSeen,
+        [this](double value, size_t idx) {
+            CountingLess cmp{&work.comparisons};
+            size_t old_half = idx / 2;
+            size_t new_half = (idx + 1) / 2;
+            auto high_pos = std::lower_bound(highHalf.begin(),
+                                             highHalf.end(), value, cmp);
+            highHalf.insert(high_pos, value);
+            if (new_half > old_half) {
+                double boundary = owner.values()[old_half];
+                auto victim = std::lower_bound(
+                    highHalf.begin(), highHalf.end(), boundary, cmp);
+                highHalf.erase(victim);
+                auto low_pos = std::lower_bound(
+                    lowHalf.begin(), lowHalf.end(), boundary, cmp);
+                lowHalf.insert(low_pos, boundary);
+            }
+        });
+}
+
+void
+StatsCache::syncPrefix()
+{
+    catchUp(
+        prefixSeen,
+        [this](double value, size_t idx) {
+            prefixMin.push_back(idx == 0 ? value
+                                         : std::min(prefixMin.back(), value));
+            prefixMax.push_back(idx == 0 ? value
+                                         : std::max(prefixMax.back(), value));
+        });
+}
+
+void
+StatsCache::syncMoments()
+{
+    catchUp(
+        momentsSeen,
+        [this](double value, size_t idx) {
+            // Incremental Kahan: continuing the loop from stats::mean,
+            // so the running (sum, comp) pair is bit-equal to a fresh
+            // left-to-right pass over the whole series.
+            double y = value - kahanComp;
+            double t = kahanSum + y;
+            kahanComp = (t - kahanSum) - y;
+            kahanSum = t;
+            // Plain sums of the samples shifted by the first one: their
+            // rounding is bounded in squaredDeviationsLowerBound().
+            if (idx == 0)
+                shift = value;
+            double d = value - shift;
+            shiftedSum += d;
+            shiftedAbsSum += std::fabs(d);
+            shiftedSquares += d * d;
+            allFinite = allFinite && std::isfinite(value);
+        });
 }
 
 const std::vector<double> &
@@ -177,7 +215,7 @@ StatsCache::sorted()
         std::sort(mergeScratch.begin(), mergeScratch.end(), cmp);
         return mergeScratch;
     }
-    sync();
+    syncSorted();
     if (!sortedTail.empty())
         mergeTail();
     return body;
@@ -217,7 +255,7 @@ StatsCache::orderStat(size_t k)
         throw std::out_of_range("orderStat index past end of series");
     if (batchMode())
         return sorted()[k];
-    sync();
+    syncSorted();
     if (sortedTail.empty())
         return body[k];
     return orderStatTwoRuns(k);
@@ -232,7 +270,7 @@ StatsCache::quantile(double p)
         throw std::invalid_argument("quantile requires p in [0, 1]");
     if (batchMode())
         return stats::quantileSorted(sorted(), p);
-    sync();
+    syncSorted();
     size_t n = owner.size();
     // Same arithmetic as stats::quantileSorted, fed by order statistics
     // instead of a fully merged array (n > kStatsCacheCutover here, so
@@ -259,15 +297,46 @@ StatsCache::ksHalves()
         std::sort(b.begin(), b.end(), cmp);
         return stats::ksStatisticSorted(a, b);
     }
-    sync();
     if (ksVersion == owner.version())
         return ksValue;
+    syncHalves();
     // The walk itself is inherently linear (the statistic is a sup over
     // every merge point); what the cache removes is the per-eval
-    // sorting and copying.
+    // sorting and copying. Each walk restarts the certificate.
     ksValue = stats::ksStatisticSorted(lowHalf, highHalf);
     ksVersion = owner.version();
+    ksWalked = ksValue;
+    ksWalkedAt = ksSlackAt = owner.size();
+    ksSlack = 0.0;
     return ksValue;
+}
+
+double
+StatsCache::ksHalvesLowerBound()
+{
+    constexpr double kNone = -std::numeric_limits<double>::infinity();
+    size_t n = owner.size();
+    if (boundsDropped || batchMode() || ksWalkedAt == 0)
+        return kNone;
+    syncMoments();
+    if (!allFinite)
+        return kNone;
+    // Growing the series from s to s + 1 moves one ECDF by at most
+    // 1/(m + 1) at every x when a set of m gains a member, and by at
+    // most 1/m when one member is swapped (DESIGN.md §8): 1/(s/2 + 1)
+    // for even s, 2/(s + 1) + 2/(s + 1) for odd s. Each step and each
+    // partial sum is rounded up, so ksSlack bounds the real sum.
+    constexpr double kUp = std::numeric_limits<double>::infinity();
+    for (; ksSlackAt < n; ++ksSlackAt) {
+        size_t s = ksSlackAt;
+        double step = s % 2 == 0
+                          ? 1.0 / (static_cast<double>(s / 2) + 1.0)
+                          : 4.0 / (static_cast<double>(s) + 1.0);
+        ksSlack = std::nextafter(ksSlack + std::nextafter(step, kUp), kUp);
+    }
+    // The 1e-12 margin covers the rounding of both walks (each within
+    // 4e-16 of its real supremum) and of this subtraction.
+    return ksWalked - ksSlack - 1e-12;
 }
 
 std::pair<double, double>
@@ -284,7 +353,7 @@ StatsCache::prefixRange(size_t count)
         }
         return {lo, hi};
     }
-    sync();
+    syncPrefix();
     return {prefixMin[count - 1], prefixMax[count - 1]};
 }
 
@@ -295,7 +364,7 @@ StatsCache::mean()
         throw std::invalid_argument("mean requires a non-empty sample");
     if (batchMode())
         return stats::mean(owner.values());
-    sync();
+    syncMoments();
     return kahanSum / static_cast<double>(owner.size());
 }
 
@@ -307,6 +376,7 @@ StatsCache::varianceMemo()
     // Same pass as stats::variance: the deviations use the final mean,
     // so this recomputation is O(n) — but memoized per version, and
     // only CI rules pay it.
+    syncMoments();
     size_t n = owner.size();
     if (n < 2) {
         varianceValue = 0.0;
@@ -320,6 +390,48 @@ StatsCache::varianceMemo()
     return varianceValue;
 }
 
+double
+StatsCache::squaredDeviationsLowerBound()
+{
+    // A lower bound on the sum the deviation kernel returns, from the
+    // shifted sums A = sum y^2, B = sum y, C = sum |y| (y = x - x0),
+    // or 0 when none holds. With u the unit roundoff and g = 4(n+4)u,
+    // the real centered sum M2 = A - B^2/n is at least
+    // A(1 - g) - (|B| + gC)^2 / n, rounding of this very expression
+    // included; the kernel's sum over (x - mean)^2 is at least M2
+    // (1 - (n+2)u), and the last factor (1 - g) covers that. Proof in
+    // DESIGN.md §8.
+    syncMoments();
+    if (!allFinite)
+        return 0.0;
+    constexpr double kUnitRoundoff =
+        std::numeric_limits<double>::epsilon() / 2.0;
+    double n = static_cast<double>(owner.size());
+    double g = 4.0 * (n + 4.0) * kUnitRoundoff;
+    double b = std::fabs(shiftedSum) + g * shiftedAbsSum;
+    double lo = (shiftedSquares * (1.0 - g) - b * b / n) * (1.0 - g);
+    // Far above every underflow the sums can have suffered; NaN fails.
+    return lo >= 0x1p-900 ? lo : 0.0;
+}
+
+stats::ConfidenceInterval
+StatsCache::meanCiFromVariance(double variance, double level,
+                               bool twoSided)
+{
+    // The arithmetic of stats::meanCi / meanCiRightTailed after
+    // stats::variance, step for step.
+    double n = static_cast<double>(owner.size());
+    double m = kahanSum / n;
+    double se = std::sqrt(variance) / std::sqrt(n);
+    double dof = n - 1.0;
+    if (twoSided) {
+        double t = stats::studentTQuantile(0.5 + level / 2.0, dof);
+        return {m - t * se, m + t * se, level};
+    }
+    double t = stats::studentTQuantile(level, dof);
+    return {m, m + t * se, level};
+}
+
 stats::ConfidenceInterval
 StatsCache::meanCi(double level)
 {
@@ -328,13 +440,7 @@ StatsCache::meanCi(double level)
         throw std::invalid_argument("meanCi requires n >= 2");
     if (batchMode())
         return stats::meanCi(owner.values(), level);
-    sync();
-    double n = static_cast<double>(owner.size());
-    double m = kahanSum / n;
-    double se = std::sqrt(varianceMemo()) / std::sqrt(n);
-    double dof = n - 1.0;
-    double t = stats::studentTQuantile(0.5 + level / 2.0, dof);
-    return {m - t * se, m + t * se, level};
+    return meanCiFromVariance(varianceMemo(), level, true);
 }
 
 stats::ConfidenceInterval
@@ -345,13 +451,35 @@ StatsCache::meanCiRightTailed(double level)
         throw std::invalid_argument("meanCiRightTailed requires n >= 2");
     if (batchMode())
         return stats::meanCiRightTailed(owner.values(), level);
-    sync();
-    double n = static_cast<double>(owner.size());
-    double m = kahanSum / n;
-    double se = std::sqrt(varianceMemo()) / std::sqrt(n);
-    double dof = n - 1.0;
-    double t = stats::studentTQuantile(level, dof);
-    return {m, m + t * se, level};
+    return meanCiFromVariance(varianceMemo(), level, false);
+}
+
+std::optional<stats::ConfidenceInterval>
+StatsCache::meanCiBoundFor(double level, bool twoSided)
+{
+    checkLevel(level);
+    // Every rounding step from the sum to the endpoints is monotone in
+    // the sum while t > 0, so a smaller sum gives no wider an interval.
+    // A right-tailed level at or below 1/2 has t <= 0: no bound.
+    if (boundsDropped || batchMode() || (!twoSided && !(level > 0.5)))
+        return std::nullopt;
+    double ss = squaredDeviationsLowerBound();
+    if (!(ss > 0.0))
+        return std::nullopt;
+    return meanCiFromVariance(ss / static_cast<double>(owner.size() - 1),
+                              level, twoSided);
+}
+
+std::optional<stats::ConfidenceInterval>
+StatsCache::meanCiLowerBound(double level)
+{
+    return meanCiBoundFor(level, true);
+}
+
+std::optional<stats::ConfidenceInterval>
+StatsCache::meanCiRightTailedLowerBound(double level)
+{
+    return meanCiBoundFor(level, false);
 }
 
 double
@@ -390,7 +518,7 @@ StatsCache::medianCi(double level)
         return {x[k - 1], x[n - k], level};
     }
 
-    sync();
+    syncSorted();
     // Warm-started search for the batch scan's k: the largest k in
     // [1, n/2] with coverage >= level (coverage shrinks as k grows).
     // Start from the previous evaluation's k and walk to the boundary,
@@ -450,7 +578,7 @@ StatsCache::quantileCi(double p, double level)
         work.pmfEvals += idx.pmfTerms;
         return {x[idx.lower], x[idx.upper], level};
     }
-    sync();
+    syncSorted();
     stats::QuantileCiIndices idx = stats::quantileCiIndices(n, p, level);
     work.pmfEvals += idx.pmfTerms;
     return {orderStat(idx.lower), orderStat(idx.upper), level};

@@ -22,10 +22,25 @@
  *    is a linear walk with no sorting;
  *  - *prefix extrema* arrays for range-based rules;
  *  - an incremental Kahan sum whose bits equal the batch left-to-right
- *    Kahan loop in stats::mean;
+ *    Kahan loop in stats::mean, beside sums of the samples shifted by
+ *    the first one (plain, absolute, squared) that bound the sum of
+ *    squared deviations;
  *  - *warm-started* median-CI order-statistic search: the previous k
  *    is revalidated against the exact batch coverage function instead
  *    of re-scanning from n/2.
+ *
+ * Upkeep is lazy and per structure: each structure keeps its own count
+ * of the samples it has absorbed and catches up only when an accessor
+ * that reads it is called. A CI rule never pays for the sorted view or
+ * the KS halves, and an order-statistic rule never pays for the halves.
+ *
+ * Certified bounds: beside the two O(n) statistics the interval and KS
+ * rules threshold (the KS walk over the halves and the sum of squared
+ * deviations behind the t intervals), the cache answers an O(1) proven
+ * lower bound (DESIGN.md §8). A rule that finds the bound already on
+ * the keep-going side of its threshold skips the O(n) pass; the exact
+ * accessors are untouched. dropBounds() switches the bounds off, so the
+ * evaluation whose decision is written out is always an exact one.
  *
  * Exactness contract: every value returned is bit-for-bit equal to the
  * batch recomputation in src/stats on the same data (NaN-free; with
@@ -53,6 +68,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -172,6 +188,35 @@ class StatsCache
     /** Order-statistic CI on quantile @p p; == stats::quantileCi. */
     stats::ConfidenceInterval quantileCi(double p, double level);
 
+    /**
+     * A proven lower bound on ksHalves() in O(1): the last exact walk's
+     * value minus the most the statistic can move per append since
+     * then, minus a 1e-12 rounding margin. -infinity when no bound
+     * holds: at or below the cutover, before the first exact walk,
+     * after a NaN or infinite sample, or after dropBounds().
+     */
+    double ksHalvesLowerBound();
+
+    /**
+     * meanCi(level) computed with the sum of squared deviations
+     * replaced by a proven lower bound: the same center, and every
+     * endpoint and width no farther out than meanCi's, so a relative
+     * width computed from it is <= the exact one. Empty when no bound
+     * holds (at or below the cutover, a non-finite sample, a bound
+     * that is not positive, or after dropBounds()).
+     */
+    std::optional<stats::ConfidenceInterval> meanCiLowerBound(double level);
+
+    /** The same for meanCiRightTailed(level). */
+    std::optional<stats::ConfidenceInterval>
+    meanCiRightTailedLowerBound(double level);
+
+    /**
+     * Switch the lower bounds off for good (until invalidate()): from
+     * here on they report none, and every rule evaluation is exact.
+     */
+    void dropBounds() { boundsDropped = true; }
+
     /** Cumulative work performed through this cache. */
     const StatsEngineCounters &counters() const { return work; }
 
@@ -180,12 +225,26 @@ class StatsCache
 
   private:
     bool batchMode() const;
-    void sync();
-    void ingest(double value);
+    /**
+     * Bring one structure up to the series: @p seen counts the samples
+     * it has absorbed, and @p ingest absorbs one (value, arrival index).
+     */
+    template <typename Ingest>
+    void catchUp(size_t &seen, Ingest ingest);
+    void syncSorted();
+    void syncHalves();
+    void syncPrefix();
+    void syncMoments();
     void mergeTail();
     double orderStatTwoRuns(size_t k);
     double coverageAt(size_t k);
     double varianceMemo();
+    double squaredDeviationsLowerBound();
+    stats::ConfidenceInterval meanCiFromVariance(double variance,
+                                                 double level,
+                                                 bool twoSided);
+    std::optional<stats::ConfidenceInterval>
+    meanCiBoundFor(double level, bool twoSided);
 
     const SampleSeries &owner;
 
@@ -193,21 +252,37 @@ class StatsCache
     std::vector<double> body;
     std::vector<double> sortedTail;
     std::vector<double> mergeScratch;
+    size_t sortedSeen = 0;
 
     // --- half-split KS state: two sorted runs ---
     std::vector<double> lowHalf;
     std::vector<double> highHalf;
+    size_t halvesSeen = 0;
 
     // --- prefix extrema, arrival order ---
     std::vector<double> prefixMin;
     std::vector<double> prefixMax;
+    size_t prefixSeen = 0;
 
-    // --- incremental Kahan state (bit-equal to batch stats::mean) ---
+    // --- moments: Kahan state (bit-equal to batch stats::mean) and
+    //     sums of y = x - shift, the bound on the squared deviations ---
     double kahanSum = 0.0;
     double kahanComp = 0.0;
+    double shift = 0.0;
+    double shiftedSum = 0.0;
+    double shiftedAbsSum = 0.0;
+    double shiftedSquares = 0.0;
+    bool allFinite = true;
+    size_t momentsSeen = 0;
 
-    uint64_t seenVersion = 0;
-    size_t seenCount = 0;
+    // --- certificates ---
+    bool boundsDropped = false;
+    /** The last exact incremental KS walk, and the series size then. */
+    double ksWalked = 0.0;
+    size_t ksWalkedAt = 0;
+    /** Upper bound on |KS(m) - KS(ksWalkedAt)| for m <= ksSlackAt. */
+    double ksSlack = 0.0;
+    size_t ksSlackAt = 0;
 
     // --- per-version memos ---
     uint64_t ksVersion = 0;

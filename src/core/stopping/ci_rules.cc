@@ -26,6 +26,27 @@ checkCiParams(double threshold, double level, const char *who)
                                     " requires level in (0, 1)");
 }
 
+/**
+ * The relative width a mean-CI rule thresholds, one expression for the
+ * exact interval and for the certified narrowest one.
+ */
+double
+relativeToMean(const stats::ConfidenceInterval &ci, double mean)
+{
+    return mean != 0.0 ? ci.width() / std::fabs(mean) : 0.0;
+}
+
+/**
+ * The reason of a keep-going decided by a certified bound (built once
+ * per rule: formatting it every round would cost more than the bound).
+ */
+std::string
+certifiedReason(const std::string &what, double threshold)
+{
+    return what + " relative width >= " + util::formatDouble(threshold, 5) +
+           " by a certified lower bound";
+}
+
 StopDecision
 decideRelativeWidth(double rel_width, double threshold,
                     const std::string &what)
@@ -47,6 +68,7 @@ MeanCiRule::MeanCiRule(double threshold_in, double level_in,
       minRunsCfg(std::max<size_t>(minRuns, 2))
 {
     checkCiParams(threshold, level, "MeanCiRule");
+    certifiedDetail = certifiedReason("right-tailed mean CI", threshold);
 }
 
 std::string
@@ -66,10 +88,18 @@ MeanCiRule::evaluate(const SampleSeries &series)
                                 std::to_string(series.size()) + "/" +
                                 std::to_string(minRunsCfg) + ")");
     }
-    auto ci = series.stats().meanCiRightTailed(level);
-    double rel = series.mean() != 0.0
-                     ? ci.width() / std::fabs(series.mean())
-                     : 0.0;
+    // Rounding is monotone, so the relative width of the certified
+    // narrowest interval is <= the exact one: at or above the
+    // threshold it already decides keep-going, with no O(n) pass.
+    StatsCache &cache = series.stats();
+    if (auto narrow = cache.meanCiRightTailedLowerBound(level)) {
+        double bound = relativeToMean(*narrow, series.mean());
+        if (bound >= threshold)
+            return StopDecision::keepGoing(bound, threshold,
+                                           certifiedDetail);
+    }
+    auto ci = cache.meanCiRightTailed(level);
+    double rel = relativeToMean(ci, series.mean());
     return decideRelativeWidth(rel, threshold, "right-tailed mean CI");
 }
 
@@ -79,6 +109,7 @@ NormalMeanCiRule::NormalMeanCiRule(double threshold_in,
       minRunsCfg(std::max<size_t>(minRuns, 2))
 {
     checkCiParams(threshold, level, "NormalMeanCiRule");
+    certifiedDetail = certifiedReason("two-sided mean CI", threshold);
 }
 
 std::string
@@ -94,7 +125,14 @@ NormalMeanCiRule::evaluate(const SampleSeries &series)
     if (series.size() < minRunsCfg) {
         return StopDecision::keepGoing(0.0, threshold, "warming up");
     }
-    auto ci = series.stats().meanCi(level);
+    StatsCache &cache = series.stats();
+    if (auto narrow = cache.meanCiLowerBound(level)) {
+        double bound = narrow->relativeWidth(series.mean());
+        if (bound >= threshold)
+            return StopDecision::keepGoing(bound, threshold,
+                                           certifiedDetail);
+    }
+    auto ci = cache.meanCi(level);
     double rel = ci.relativeWidth(series.mean());
     return decideRelativeWidth(rel, threshold, "two-sided mean CI");
 }

@@ -12,6 +12,10 @@
  * GeoMeanCiRule (log-scale CI, for log-normal / log-uniform data),
  * and MedianCiRule (order-statistic CI, for skewed, logistic, or
  * heavy-tailed data whose mean is a poor or undefined target).
+ *
+ * MeanCiRule and NormalMeanCiRule first read the StatsCache's certified
+ * narrowest interval: when its relative width is already at or above
+ * the threshold they keep going without the O(n) deviation pass.
  */
 
 #ifndef SHARP_CORE_STOPPING_CI_RULES_HH
@@ -48,6 +52,7 @@ class MeanCiRule : public StoppingRule
     double threshold;
     double level;
     size_t minRunsCfg;
+    std::string certifiedDetail;
 };
 
 /** Two-sided t CI on the mean; tailored to normal data. */
@@ -66,6 +71,7 @@ class NormalMeanCiRule : public StoppingRule
     double threshold;
     double level;
     size_t minRunsCfg;
+    std::string certifiedDetail;
 };
 
 /** CI on the geometric mean; tailored to log-normal-like data. */

@@ -17,6 +17,8 @@ KsHalvesRule::KsHalvesRule(double threshold_in, size_t minRuns)
     if (!(threshold > 0.0 && threshold <= 1.0))
         throw std::invalid_argument(
             "KsHalvesRule requires threshold in (0, 1]");
+    certifiedDetail = "KS(halves) >= " + util::formatDouble(threshold, 4) +
+                      " by a certified lower bound";
 }
 
 std::string
@@ -35,7 +37,13 @@ KsHalvesRule::evaluate(const SampleSeries &series)
                                 std::to_string(series.size()) + "/" +
                                 std::to_string(minRunsCfg) + ")");
     }
-    double ks = series.stats().ksHalves();
+    // A proven lower bound already at or above the threshold decides
+    // keep-going without the O(n) walk.
+    StatsCache &cache = series.stats();
+    double bound = cache.ksHalvesLowerBound();
+    if (bound >= threshold)
+        return StopDecision::keepGoing(bound, threshold, certifiedDetail);
+    double ks = cache.ksHalves();
     std::string detail = "KS(halves) = " + util::formatDouble(ks, 4) +
                          (ks < threshold ? " < " : " >= ") +
                          util::formatDouble(threshold, 4);

@@ -7,6 +7,11 @@
  * (§V-C; Table IV uses T = 0.1.) It requires no prior knowledge of the
  * distribution: when the two halves look alike, additional runs have
  * stopped adding information about the distribution's shape.
+ *
+ * Past the StatsCache cutover most evaluations never walk the halves:
+ * while the cache's certified lower bound on the statistic stays at or
+ * above the threshold, the rule keeps going on that proof alone, and
+ * the decision's criterion is the bound.
  */
 
 #ifndef SHARP_CORE_STOPPING_KS_RULE_HH
@@ -43,6 +48,8 @@ class KsHalvesRule : public StoppingRule
   private:
     double threshold;
     size_t minRunsCfg;
+    /** The reason of a keep-going decided by the certified bound. */
+    std::string certifiedDetail;
 };
 
 } // namespace core

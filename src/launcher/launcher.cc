@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "core/stats_cache.hh"
 #include "util/message.hh"
 #include "util/string_utils.hh"
 
@@ -171,6 +172,11 @@ Launcher::launch()
             return true;
         }
         if (report.series.size() >= rule_floor) {
+            // The decision of the round that reaches the cap is the one
+            // the metadata records: evaluate it exactly, never from a
+            // certified bound. A stop is exact by construction.
+            if (report.series.size() >= options.maxSamples)
+                report.series.stats().dropBounds();
             core::StopDecision decision =
                 stoppingRule->evaluate(report.series);
             report.finalDecision = decision;

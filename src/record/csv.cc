@@ -122,24 +122,28 @@ csvQuote(const std::string &field)
     return out;
 }
 
+void
+appendCsvLine(std::string &out, const std::vector<std::string> &fields)
+{
+    for (size_t i = 0; i < fields.size(); ++i) {
+        if (i > 0)
+            out.push_back(',');
+        const std::string &field = fields[i];
+        if (field.find_first_of(",\"\n\r") == std::string::npos)
+            out += field;
+        else
+            out += csvQuote(field);
+    }
+    out.push_back('\n');
+}
+
 std::string
 CsvTable::toCsv() const
 {
     std::string out;
-    for (size_t i = 0; i < header.size(); ++i) {
-        if (i > 0)
-            out.push_back(',');
-        out += csvQuote(header[i]);
-    }
-    out.push_back('\n');
-    for (const auto &row : rows) {
-        for (size_t i = 0; i < row.size(); ++i) {
-            if (i > 0)
-                out.push_back(',');
-            out += csvQuote(row[i]);
-        }
-        out.push_back('\n');
-    }
+    appendCsvLine(out, header);
+    for (const auto &row : rows)
+        appendCsvLine(out, row);
     return out;
 }
 

@@ -84,6 +84,9 @@ class CsvTable
 /** Quote a CSV field if it contains separators, quotes, or newlines. */
 std::string csvQuote(const std::string &field);
 
+/** Append @p fields to @p out as one CSV line (quoted, LF-terminated). */
+void appendCsvLine(std::string &out, const std::vector<std::string> &fields);
+
 } // namespace record
 } // namespace sharp
 

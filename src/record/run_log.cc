@@ -1,5 +1,8 @@
 #include "record/run_log.hh"
 
+#include <fstream>
+#include <stdexcept>
+
 #include "util/string_utils.hh"
 #include "util/time_utils.hh"
 
@@ -80,36 +83,61 @@ RunLog::primaryValues() const
     return out;
 }
 
+namespace
+{
+
+/** The factor columns every row starts with, before its metrics. */
+constexpr size_t kFactorColumns = 9;
+
+/** The tidy CSV's column names: fixed factors, then @p metrics. */
+std::vector<std::string>
+csvColumns(const std::vector<std::string> &metrics)
+{
+    std::vector<std::string> columns = {
+        "run",     "instance", "attempt", "workload", "backend",
+        "machine", "day",      "warmup",  "failure"};
+    columns.insert(columns.end(), metrics.begin(), metrics.end());
+    return columns;
+}
+
+/**
+ * The row formatter behind both toCsv() and save(): @p record's cells,
+ * in csvColumns(@p metrics) order, written over @p cells so a caller
+ * that loops reuses the strings' storage.
+ */
+void
+formatRow(const RunRecord &record, const std::vector<std::string> &metrics,
+          std::vector<std::string> &cells)
+{
+    cells.resize(kFactorColumns + metrics.size());
+    cells[0] = std::to_string(record.run);
+    cells[1] = std::to_string(record.instance);
+    cells[2] = std::to_string(record.attempt);
+    cells[3] = record.workload;
+    cells[4] = record.backend;
+    cells[5] = record.machine;
+    cells[6] = std::to_string(record.day);
+    cells[7] = record.warmup ? "true" : "false";
+    cells[8] = failureKindName(record.failure);
+    for (size_t i = 0; i < metrics.size(); ++i) {
+        auto it = record.metrics.find(metrics[i]);
+        cells[kFactorColumns + i] = it != record.metrics.end()
+                                        ? util::formatDouble(it->second, 9)
+                                        : "";
+    }
+}
+
+} // anonymous namespace
+
 CsvTable
 RunLog::toCsv() const
 {
     std::vector<std::string> metrics = metricNames();
-    std::vector<std::string> columns = {
-        "run",     "instance", "attempt", "workload", "backend",
-        "machine", "day",      "warmup",  "failure"};
-    for (const auto &metric : metrics)
-        columns.push_back(metric);
-
-    CsvTable table(columns);
+    CsvTable table(csvColumns(metrics));
+    std::vector<std::string> cells;
     for (const auto &record : entries) {
-        std::vector<std::string> row = {
-            std::to_string(record.run),
-            std::to_string(record.instance),
-            std::to_string(record.attempt),
-            record.workload,
-            record.backend,
-            record.machine,
-            std::to_string(record.day),
-            record.warmup ? "true" : "false",
-            failureKindName(record.failure),
-        };
-        for (const auto &metric : metrics) {
-            auto it = record.metrics.find(metric);
-            row.push_back(it != record.metrics.end()
-                              ? util::formatDouble(it->second, 9)
-                              : "");
-        }
-        table.addRow(std::move(row));
+        formatRow(record, metrics, cells);
+        table.addRow(cells);
     }
     return table;
 }
@@ -161,7 +189,31 @@ RunLog::toMetadata() const
 void
 RunLog::save(const std::string &basePath) const
 {
-    toCsv().save(basePath + ".csv");
+    // Stream the rows: the same bytes as toCsv().save(), without
+    // holding every cell of a long campaign as a string, and then the
+    // whole file as one more.
+    std::string path = basePath + ".csv";
+    std::ofstream out(path);
+    if (!out)
+        throw std::runtime_error("cannot open CSV file for writing: " +
+                                 path);
+    std::vector<std::string> metrics = metricNames();
+    std::string line;
+    appendCsvLine(line, csvColumns(metrics));
+    std::vector<std::string> cells;
+    for (const auto &record : entries) {
+        formatRow(record, metrics, cells);
+        appendCsvLine(line, cells);
+        // Flush in blocks: one write per row would cost more calls.
+        if (line.size() >= 1 << 16) {
+            out << line;
+            line.clear();
+        }
+    }
+    out << line;
+    if (!out)
+        throw std::runtime_error("error writing CSV file: " + path);
+    out.close();
     toMetadata().save(basePath + ".md");
 }
 

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 
 #include "record/run_log.hh"
 #include "support/metadata.hh"
@@ -154,6 +156,18 @@ TEST(RunLog, SaveWritesPairedFiles)
     MetadataDocument doc =
         sharp::support::loadMetadata(base.string() + ".md");
     EXPECT_EQ(doc.get("Experiment", "name").value(), "fig5-hotspot");
+
+    // save() streams its rows; they are the bytes toCsv() serializes,
+    // quoted fields included.
+    RunRecord quoted;
+    quoted.workload = "a,b \"c\"";
+    quoted.metrics = {{"execution_time", 0.25}, {"note\nline", 1.0}};
+    log.add(quoted);
+    log.save(base.string());
+    std::ifstream in(base.string() + ".csv", std::ios::binary);
+    std::string bytes((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+    EXPECT_EQ(bytes, log.toCsv().toCsv());
 
     fs::remove(base.string() + ".csv");
     fs::remove(base.string() + ".md");

@@ -11,8 +11,11 @@
 #   - `perfbench_driver` (build-unreached/perfbench, configured from
 #     perfbench/CMakeLists.txt as it stands).
 # At -O0 nothing is inlined, and the linker drops every function
-# section no binary refers to. So a T/W symbol of a src/**/*.o that no
-# binary defines is code only the unit tests run. Only symbols whose
+# section no binary refers to. So a T/W symbol of a member of a
+# src/**/libsharp_*.a that no binary defines is code only the unit
+# tests run. The archives are rebuilt from the sources CMake lists
+# now, so the object of a deleted or renamed source, which make leaves
+# behind in a reused build directory, is not read. Only symbols whose
 # qualified name is in sharp:: count; a std:: template instantiated on
 # a sharp type does not.
 #
@@ -61,7 +64,8 @@ sharp_symbol='^_Z(T[hv][^N]*)?Z?N[rVKRO]*5sharp'
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-find "$out/main/src" -name '*.o' -print0 | xargs -0 nm --defined-only \
+find "$out/main/src" -name 'libsharp_*.a' -print0 \
+    | xargs -0 nm --defined-only \
     | awk 'NF == 3 && $2 ~ /^[TW]$/ {print $3}' \
     | grep -E "$sharp_symbol" | sort -u > "$tmp/objects"
 find "$out/main/tools" "$out/main/bench" "$out/main/examples" \
