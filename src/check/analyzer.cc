@@ -12,8 +12,10 @@
 #include "launcher/fault_backend.hh"
 #include "launcher/reproduce.hh"
 #include "launcher/retry.hh"
+#include "launcher/scenario_backend.hh"
 #include "record/journal.hh"
 #include "record/metadata.hh"
+#include "record/run_log.hh"
 #include "serve/queue.hh"
 #include "serve/state.hh"
 #include "simd/dispatch.hh"
@@ -147,6 +149,8 @@ artifactKindName(ArtifactKind kind)
         return "queue journal";
     case ArtifactKind::DaemonState:
         return "daemon state";
+    case ArtifactKind::TidyCsv:
+        return "tidy CSV";
     case ArtifactKind::Unknown:
         break;
     }
@@ -162,6 +166,19 @@ isSpecHeader(const json::Value &doc)
 {
     return doc.isObject() && doc.getString("type", "") == "spec" &&
            doc.find("spec");
+}
+
+/** True when @p text's first line starts with the tidy CSV's factors. */
+bool
+startsWithTidyHeader(const std::string &text)
+{
+    std::string factors;
+    for (const record::FactorColumn &column : record::factorColumns())
+        factors += std::string(factors.empty() ? "" : ",") + column.name;
+    if (!util::startsWith(text, factors))
+        return false;
+    char next = text.size() > factors.size() ? text[factors.size()] : '\n';
+    return next == ',' || next == '\n' || next == '\r';
 }
 
 /** True when @p text's first line is a run journal's spec header. */
@@ -186,6 +203,8 @@ sniffArtifact(const std::string &path, const std::string &text,
 {
     if (util::endsWith(path, ".md") || util::startsWith(text, "# "))
         return ArtifactKind::Metadata;
+    if (startsWithTidyHeader(text))
+        return ArtifactKind::TidyCsv;
     // Both JSONL artifacts carry their identity on line 1, whatever
     // the file is named: the queue journal a schema tag, the run
     // journal a spec header.
@@ -270,17 +289,51 @@ checkDocument(ArtifactKind kind, const json::Value &doc,
     case ArtifactKind::QueueJournal:
     case ArtifactKind::Journal:
     case ArtifactKind::Metadata:
+    case ArtifactKind::TidyCsv:
         // Text formats; checkArtifactText routes them before parsing.
         break;
-    case ArtifactKind::Unknown:
+    case ArtifactKind::Unknown: {
+        std::string known;
+        for (int k = 0; k < static_cast<int>(ArtifactKind::Unknown); ++k) {
+            known += known.empty() ? "expected a " : ", ";
+            known += artifactKindName(static_cast<ArtifactKind>(k));
+        }
         out.warning(std::string("unknown-artifact"),
-                    "cannot tell what kind of artifact this is",
-                    "expected a run/fault/retry/experiment spec, "
-                    "workflow, journal, queue journal, daemon state, "
-                    "baseline, or metadata");
+                    "cannot tell what kind of artifact this is", known);
         break;
     }
+    }
 }
+
+namespace
+{
+
+/**
+ * Check a scenario file: the document, then, for a trace scenario
+ * whose trace exists, the trace as replay walks it.
+ */
+void
+checkScenarioFile(const std::string &path, const json::Value &doc,
+                  CheckResult &out)
+{
+    // The file's own directory anchors relative trace paths, so the
+    // dangling-trace lint works wherever check is invoked from.
+    size_t errors = out.errorCount();
+    sim::checkScenario(doc, sim::dirNameOf(path), out);
+    if (out.errorCount() > errors || doc.getString("family", "") != "trace")
+        return;
+    sim::ScenarioSpec spec =
+        sim::ScenarioSpec::fromJson(doc, sim::dirNameOf(path));
+    std::string trace = spec.tracePath();
+    if (!util::fileExists(trace))
+        return; // checkScenario reported the dangling path
+    std::string artifact = out.artifact();
+    out.setArtifact(trace);
+    launcher::walkTrace(trace, spec.trace.metric, out);
+    out.setArtifact(artifact);
+}
+
+} // anonymous namespace
 
 ArtifactKind
 checkArtifactText(const std::string &path, const std::string &text,
@@ -289,6 +342,20 @@ checkArtifactText(const std::string &path, const std::string &text,
     // Text formats first, by name: they are not (single-document) JSON.
     if (kind == ArtifactKind::Unknown)
         kind = sniffArtifact(path, text, nullptr);
+    if (kind == ArtifactKind::TidyCsv) {
+        // The rows as replay reads them; ingest skips or counts what
+        // replay rejects, so here each finding is a warning.
+        std::istringstream in(text);
+        record::walkTidyCsv(in, out, Severity::Warning,
+                            [](record::RunRecord &&) {});
+        return kind;
+    }
+    if (kind == ArtifactKind::Unknown && util::endsWith(path, ".csv")) {
+        out.report(Severity::Note, json::Location{}, "non-artifact",
+                   "not a tidy CSV (its header does not start with the "
+                   "factor columns); not checked");
+        return kind;
+    }
     json::Value doc;
     if (kind != ArtifactKind::Journal && kind != ArtifactKind::Metadata &&
         kind != ArtifactKind::QueueJournal) {
@@ -308,9 +375,7 @@ checkArtifactText(const std::string &path, const std::string &text,
     else if (kind == ArtifactKind::Metadata)
         checkMetadata(text, out);
     else if (kind == ArtifactKind::Scenario)
-        // The file's own directory anchors relative trace paths, so
-        // the dangling-trace lint works wherever check is invoked from.
-        sim::checkScenario(doc, sim::dirNameOf(path), out);
+        checkScenarioFile(path, doc, out);
     else
         checkDocument(kind, doc, out);
     return kind;
@@ -344,7 +409,8 @@ expandArtifactPaths(const std::vector<std::string> &paths,
                 continue;
             if (util::endsWith(name, ".json") ||
                 util::endsWith(name, ".jsonl") ||
-                util::endsWith(name, ".md")) {
+                util::endsWith(name, ".md") ||
+                util::endsWith(name, ".csv")) {
                 files.push_back(std::move(full));
             } else {
                 ++skipped;

@@ -61,6 +61,8 @@ enum class ArtifactKind
     QueueJournal,
     /** A `sharp serve` daemon state file (`sharp-daemon-state-v1`). */
     DaemonState,
+    /** A tidy CSV (`sharp run --out`), known by its header line. */
+    TidyCsv,
     /** Nothing recognizable. */
     Unknown,
 };
@@ -71,8 +73,10 @@ const char *artifactKindName(ArtifactKind kind);
 /**
  * Guess what kind of artifact @p path with contents @p text holds.
  * Text formats first: `.md` or a `# ` title is metadata; a first line
- * holding a queue schema tag is a queue journal; a `.jsonl` name or a
- * first line holding a spec header is a run journal. Then content:
+ * that starts with the tidy CSV's factor columns is a tidy CSV; a
+ * first line holding a queue schema tag is a queue journal; a `.jsonl`
+ * name or a first line holding a spec header is a run journal. Then
+ * content:
  * a parsed @p doc (nullptr when the text is not JSON) is classified
  * by its distinguishing keys — "schema" tags a baseline, "states" a
  * workflow, "backend"/"experiment" a run spec, fault-band keys a
@@ -93,8 +97,13 @@ void checkDocument(ArtifactKind kind, const json::Value &doc,
 /**
  * Check artifact text of any kind (JSON kinds are parsed first; syntax
  * errors become located "json-syntax" diagnostics). @p kind Unknown
- * means sniff it from @p path and the text. Returns the kind actually
- * checked.
+ * means sniff it from @p path and the text. A tidy CSV is read as
+ * replay reads it (record::walkTidyCsv()), its findings warnings but
+ * the walk's errors; a `.csv` that is not one gets a `non-artifact`
+ * note. A trace scenario's trace is
+ * walked too, when it exists, as replay walks it
+ * (launcher::walkTrace()), its findings naming the trace. Returns the
+ * kind actually checked.
  */
 ArtifactKind checkArtifactText(const std::string &path,
                                const std::string &text,
@@ -134,9 +143,9 @@ record::MetadataDocument checkMetadata(const std::string &text,
 
 /**
  * The artifact files @p paths name, for `sharp check`. A directory
- * expands to its .json, .jsonl and .md entries, non-recursively and in
- * sorted order, so whole libraries need no file list; @p skipped
- * counts its other files.
+ * expands to its .json, .jsonl, .md and .csv entries,
+ * non-recursively and in sorted order, so whole libraries need no
+ * file list; @p skipped counts its other files.
  */
 std::vector<std::string>
 expandArtifactPaths(const std::vector<std::string> &paths,

@@ -250,10 +250,10 @@ checkCampaignDir(const std::string &dir, CheckResult &out)
                                       out);
                 }
             }
-            // No checker reads CSV bodies; it is still a known
-            // artifact, not a skippable stray.
-            if (util::fileExists(csvPath))
+            if (util::fileExists(csvPath)) {
                 handled.insert(csvPath);
+                checkArtifactFile(csvPath, out);
+            }
 
             if (daemon && campaign.failovers > daemon->maxFailovers) {
                 fileFinding(

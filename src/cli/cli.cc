@@ -958,8 +958,10 @@ cmdCheck(const ParsedArgs &args, std::ostream &out, std::ostream &)
         if (format == "text") {
             out << result.renderText();
             // Notes are informational: an artifact with only notes
-            // is still ok, as its exit code says.
-            if (result.exitCode() == 0) {
+            // is still ok, as its exit code says; a non-artifact's
+            // note says all there is.
+            if (result.exitCode() == 0 &&
+                kind != check::ArtifactKind::Unknown) {
                 out << path << ": "
                     << check::artifactKindName(kind) << ": ok\n";
             }
@@ -974,7 +976,7 @@ cmdCheck(const ParsedArgs &args, std::ostream &out, std::ostream &)
         note.report(check::Severity::Note, json::Location{},
                     "skipped-files",
                     "skipped " + std::to_string(skippedFiles) +
-                        " non-artifact file(s) (not .json/.jsonl/.md)");
+                        " non-artifact file(s) (not .json/.jsonl/.md/.csv)");
         if (format == "text")
             out << note.renderText();
         total.merge(note);

@@ -4,7 +4,9 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <map>
+#include <optional>
 #include <stdexcept>
 
 #include "check/diagnostic.hh"
@@ -12,6 +14,7 @@
 #include "json/writer.hh"
 #include "record/csv.hh"
 #include "record/journal.hh"
+#include "record/run_log.hh"
 #include "util/string_utils.hh"
 #include "util/thread_pool.hh"
 
@@ -22,36 +25,63 @@ namespace sharp
 namespace compare
 {
 
+namespace
+{
+
+/** The scenario of rows with no group cell. */
+const std::string kAllRows = "all";
+
+} // anonymous namespace
+
 FileSamples
 ingestCsv(const std::string &path, const CaptureOptions &options)
 {
-    record::CsvTable table = record::CsvTable::load(path);
-    auto metricCol = table.columnIndex(options.metric);
-    if (!metricCol) {
-        throw std::runtime_error("input has no '" + options.metric +
-                                 "' column: " + path);
-    }
-    auto groupCol = table.columnIndex(options.groupBy);
-    auto warmupCol = table.columnIndex("warmup");
-    auto failureCol = table.columnIndex("failure");
-
+    std::ifstream in(path, std::ios::binary);
+    if (!in)
+        throw std::runtime_error("cannot open CSV file: " + path);
+    std::optional<size_t> metricCol, groupCol, warmupCol, failureCol;
     FileSamples out;
-    for (size_t r = 0; r < table.numRows(); ++r) {
-        if (warmupCol && table.cell(r, *warmupCol) == "true") {
+    // Rows of one scenario come in runs: remember the last one's
+    // values rather than look its name up again.
+    std::string lastName;
+    std::vector<double> *last = nullptr;
+    check::CheckResult findings;
+    findings.setArtifact(path);
+    record::CsvVisitor visit;
+    visit.header = [&](const record::CsvRow &header) {
+        metricCol = record::findColumn(header.cells, options.metric);
+        if (!metricCol) {
+            throw std::runtime_error("input has no '" + options.metric +
+                                     "' column: " + path);
+        }
+        groupCol = record::findColumn(header.cells, options.groupBy);
+        warmupCol = record::findColumn(header.cells, "warmup");
+        failureCol = record::findColumn(header.cells, "failure");
+    };
+    visit.row = [&](const record::CsvRow &row) {
+        const std::vector<std::string> &cells = row.cells;
+        if (warmupCol && cells[*warmupCol] == "true") {
             ++out.excludedWarmup;
-            continue;
+            return;
         }
-        if (failureCol && table.cell(r, *failureCol) != "none") {
+        if (failureCol && cells[*failureCol] != "none") {
             ++out.excludedFailures;
-            continue;
+            return;
         }
-        auto value = util::parseDouble(table.cell(r, *metricCol));
+        auto value = util::parseDouble(cells[*metricCol]);
         if (!value || !std::isfinite(*value))
-            continue;
+            return;
         const std::string &name =
-            groupCol ? table.cell(r, *groupCol) : std::string("all");
-        out.byScenario[name.empty() ? "all" : name].push_back(*value);
-    }
+            groupCol && !cells[*groupCol].empty() ? cells[*groupCol]
+                                                  : kAllRows;
+        if (!last || name != lastName) {
+            lastName = name;
+            last = &out.byScenario[name];
+        }
+        last->push_back(*value);
+    };
+    record::walkCsv(in, findings, visit);
+    check::throwIfErrors(std::move(findings));
     return out;
 }
 
@@ -75,9 +105,10 @@ ingestJournal(const std::string &path, const CaptureOptions &options)
         auto it = rec.metrics.find(options.metric);
         if (it == rec.metrics.end())
             continue;
-        const std::string &name =
-            rec.workload.empty() ? std::string("all") : rec.workload;
-        out.byScenario[name].push_back(it->second);
+        // The scenario the CSV of the same run would give.
+        std::string name = record::csvCell(rec, options.groupBy);
+        out.byScenario[name.empty() ? kAllRows : name].push_back(
+            it->second);
     }
     return out;
 }

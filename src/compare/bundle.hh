@@ -54,7 +54,7 @@ struct CaptureOptions
 {
     /** Metric column to distill. */
     std::string metric = "execution_time";
-    /** Column whose values name the scenarios (CSV inputs only). */
+    /** Column whose values name the scenarios. */
     std::string groupBy = "workload";
     /** Parse input files in parallel; the bundle is identical for any. */
     size_t jobs = 1;
@@ -99,9 +99,11 @@ struct FileSamples
  * a warmup row or a failed attempt never counts, and a metric cell
  * that is not a finite number (`nan` and `inf` included) is skipped.
  * Rows group by the options.groupBy column; a missing column or an
- * empty cell groups as "all".
+ * empty cell groups as "all". The file streams through
+ * record::walkCsv(), keeping only each row's value and group.
  * @throws std::runtime_error on unreadable input or a missing metric
- *         column.
+ *         column, and check::CheckFailure, its findings located in
+ *         @p path, when the walk finds an error.
  */
 FileSamples ingestCsv(const std::string &path,
                       const CaptureOptions &options);
@@ -109,12 +111,16 @@ FileSamples ingestCsv(const std::string &path,
 /**
  * Ingest recorded runs into a bundle. CSV inputs group rows by the
  * groupBy column (a missing column yields the single scenario "all");
- * .jsonl inputs are run journals, grouped by workload. Warmup rows and
- * failed rows are excluded. Files are parsed with up to options.jobs
- * threads but merged in input order, so the result is deterministic.
+ * .jsonl inputs are run journals, whose records group by the cell the
+ * CSV of the same run holds in that column (record::csvCell()), so
+ * both give the same scenarios. Warmup rows and failed rows are
+ * excluded. Files are parsed with up to options.jobs threads but
+ * merged in input order, so the result is deterministic.
  *
  * @throws std::runtime_error on unreadable input or a missing metric
- *         column; std::invalid_argument when no usable samples remain.
+ *         column; check::CheckFailure (a std::invalid_argument) when an
+ *         input fails its walk; std::invalid_argument when no usable
+ *         samples remain.
  */
 BaselineBundle captureBaseline(const std::vector<std::string> &inputs,
                                const CaptureOptions &options = {});

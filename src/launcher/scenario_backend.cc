@@ -1,9 +1,10 @@
 #include "launcher/scenario_backend.hh"
 
 #include <algorithm>
-#include <stdexcept>
+#include <fstream>
+#include <sstream>
 
-#include "record/csv.hh"
+#include "check/diagnostic.hh"
 #include "record/journal.hh"
 #include "util/string_utils.hh"
 
@@ -28,83 +29,35 @@ mixSeeds(uint64_t scenarioSeed, uint64_t runSeed)
     return second.next();
 }
 
-/** Column names that are structure, not metrics, in a tidy CSV. */
-bool
-isStructuralColumn(const std::string &name)
-{
-    static const std::vector<std::string> structural = {
-        "run",     "instance", "attempt", "workload", "backend",
-        "machine", "day",      "warmup",  "failure"};
-    return std::find(structural.begin(), structural.end(), name) !=
-           structural.end();
-}
-
-std::vector<record::RunRecord>
-recordsFromCsv(const std::string &path)
-{
-    record::CsvTable table = record::CsvTable::load(path);
-    for (const char *required :
-         {"workload", "backend", "machine", "warmup", "failure"}) {
-        if (!table.columnIndex(required)) {
-            throw std::runtime_error("trace '" + path +
-                                     "' lacks the tidy-CSV column '" +
-                                     required + "'");
-        }
-    }
-    std::vector<std::string> metricColumns;
-    for (const auto &column : table.columns())
-        if (!isStructuralColumn(column))
-            metricColumns.push_back(column);
-
-    std::vector<record::RunRecord> records;
-    records.reserve(table.numRows());
-    for (size_t i = 0; i < table.numRows(); ++i) {
-        record::RunRecord rec;
-        rec.workload = table.cell(i, *table.columnIndex("workload"));
-        rec.backend = table.cell(i, *table.columnIndex("backend"));
-        rec.machine = table.cell(i, *table.columnIndex("machine"));
-        if (auto day = table.columnIndex("day")) {
-            auto parsed = util::parseDouble(table.cell(i, *day));
-            rec.day = parsed ? static_cast<int>(*parsed) : 0;
-        }
-        rec.warmup = table.cell(i, *table.columnIndex("warmup")) == "true";
-        try {
-            rec.failure = record::failureKindFromName(
-                table.cell(i, *table.columnIndex("failure")));
-        } catch (const std::invalid_argument &ex) {
-            throw std::runtime_error("trace '" + path + "' row " +
-                                     std::to_string(i + 1) + ": " +
-                                     ex.what());
-        }
-        for (const auto &metric : metricColumns) {
-            const std::string &cell = table.cell(i, *table.columnIndex(metric));
-            if (cell.empty())
-                continue;
-            auto value = util::parseDouble(cell);
-            if (!value) {
-                throw std::runtime_error(
-                    "trace '" + path + "' row " + std::to_string(i + 1) +
-                    ": metric '" + metric + "' is not a number: " + cell);
-            }
-            rec.metrics[metric] = *value;
-        }
-        records.push_back(std::move(rec));
-    }
-    return records;
-}
-
 } // namespace
 
 TraceData
-loadTrace(const std::string &path, const std::string &metric)
+walkTrace(const std::string &path, const std::string &metric,
+          check::CheckResult &out)
 {
     TraceData data;
-    if (util::endsWith(path, ".jsonl"))
-        data.records = record::readJournal(path).records;
-    else
-        data.records = recordsFromCsv(path);
-    if (data.records.empty())
-        throw std::runtime_error("trace '" + path + "' holds no rows");
+    size_t errors = out.errorCount();
+    std::ifstream in(path, std::ios::binary);
+    if (!in) {
+        out.error("io-error", "cannot read trace '" + path + "'");
+        return data;
+    }
+    if (util::endsWith(path, ".jsonl")) {
+        std::ostringstream text;
+        text << in.rdbuf();
+        data.records = record::walkJournal(text.str(), out).records;
+    } else {
+        record::walkTidyCsv(in, out, check::Severity::Error,
+                            [&](record::RunRecord &&rec) {
+                                data.records.push_back(std::move(rec));
+                            });
+    }
+    if (out.errorCount() > errors)
+        return data;
+    if (data.records.empty()) {
+        out.error("empty-trace", "trace holds no rows");
+        return data;
+    }
     data.workload = data.records.front().workload;
     data.backend = data.records.front().backend;
     for (const auto &rec : data.records) {
@@ -115,10 +68,20 @@ loadTrace(const std::string &path, const std::string &metric)
             data.samples.push_back(it->second);
     }
     if (data.samples.empty()) {
-        throw std::runtime_error("trace '" + path +
-                                 "' has no measured sample with metric '" +
-                                 metric + "'");
+        out.error("empty-trace",
+                  "trace has no measured sample with metric '" + metric +
+                      "'");
     }
+    return data;
+}
+
+TraceData
+loadTrace(const std::string &path, const std::string &metric)
+{
+    check::CheckResult findings;
+    findings.setArtifact(path);
+    TraceData data = walkTrace(path, metric, findings);
+    check::throwIfErrors(std::move(findings));
     return data;
 }
 

@@ -31,6 +31,11 @@
 
 namespace sharp
 {
+namespace check
+{
+class CheckResult;
+} // namespace check
+
 namespace launcher
 {
 
@@ -52,11 +57,22 @@ struct TraceData
 };
 
 /**
- * Parse the trace at @p path: a tidy CSV (RunLog::toCsv columns) or,
- * for a ".jsonl" suffix, a run journal. @p metric is the primary
- * metric used to build the measured stream.
- * @throws std::runtime_error on unreadable/malformed files or when no
- *         measured sample carries @p metric.
+ * The one reader of the trace at @p path, shared by replay and `sharp
+ * check`: a tidy CSV through record::walkTidyCsv() at error severity
+ * (replay reads `workload`, `backend`, `machine`, `warmup`, `failure`
+ * and every metric column; it numbers its own rows and takes its day
+ * from the launch configuration) or, for a ".jsonl" suffix, a run
+ * journal through record::walkJournal(). @p metric is the primary
+ * metric the measured stream is built from. Never throws; errors go
+ * to @p out, located: the walk's, and a trace with no row or no
+ * measured sample.
+ */
+TraceData walkTrace(const std::string &path, const std::string &metric,
+                    check::CheckResult &out);
+
+/**
+ * walkTrace() with @p path on every finding.
+ * @throws check::CheckFailure when it finds an error.
  */
 TraceData loadTrace(const std::string &path, const std::string &metric);
 

@@ -1,10 +1,9 @@
 #include "record/csv.hh"
 
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 
-#include "util/string_utils.hh"
+#include "check/diagnostic.hh"
 
 namespace sharp
 {
@@ -21,11 +20,7 @@ CsvTable::CsvTable(std::vector<std::string> columns)
 std::optional<size_t>
 CsvTable::columnIndex(const std::string &name) const
 {
-    for (size_t i = 0; i < header.size(); ++i) {
-        if (header[i] == name)
-            return i;
-    }
-    return std::nullopt;
+    return findColumn(header, name);
 }
 
 void
@@ -43,66 +38,6 @@ const std::string &
 CsvTable::cell(size_t row_idx, size_t col) const
 {
     return rows.at(row_idx).at(col);
-}
-
-std::vector<double>
-CsvTable::numericColumn(const std::string &name) const
-{
-    auto idx = columnIndex(name);
-    if (!idx)
-        throw std::out_of_range("no CSV column named '" + name + "'");
-    std::vector<double> out;
-    out.reserve(rows.size());
-    for (const auto &row : rows) {
-        if (auto value = util::parseDouble(row[*idx]))
-            out.push_back(*value);
-    }
-    return out;
-}
-
-std::vector<double>
-CsvTable::numericColumnWhere(const std::string &valueColumn,
-                             const std::string &filterColumn,
-                             const std::string &filterValue) const
-{
-    auto value_idx = columnIndex(valueColumn);
-    auto filter_idx = columnIndex(filterColumn);
-    if (!value_idx)
-        throw std::out_of_range("no CSV column named '" + valueColumn +
-                                "'");
-    if (!filter_idx)
-        throw std::out_of_range("no CSV column named '" + filterColumn +
-                                "'");
-    std::vector<double> out;
-    for (const auto &row : rows) {
-        if (row[*filter_idx] != filterValue)
-            continue;
-        if (auto value = util::parseDouble(row[*value_idx]))
-            out.push_back(*value);
-    }
-    return out;
-}
-
-std::vector<std::string>
-CsvTable::distinct(const std::string &name) const
-{
-    auto idx = columnIndex(name);
-    if (!idx)
-        throw std::out_of_range("no CSV column named '" + name + "'");
-    std::vector<std::string> out;
-    for (const auto &row : rows) {
-        const std::string &value = row[*idx];
-        bool seen = false;
-        for (const auto &existing : out) {
-            if (existing == value) {
-                seen = true;
-                break;
-            }
-        }
-        if (!seen)
-            out.push_back(value);
-    }
-    return out;
 }
 
 std::string
@@ -159,90 +94,169 @@ CsvTable::save(const std::string &path) const
         throw std::runtime_error("error writing CSV file: " + path);
 }
 
-CsvTable
-CsvTable::parse(const std::string &text)
+std::optional<size_t>
+findColumn(const std::vector<std::string> &header, const std::string &name)
 {
-    std::vector<std::vector<std::string>> records;
-    std::vector<std::string> current;
-    std::string field;
-    bool in_quotes = false;
-    bool field_started = false;
-
-    auto end_field = [&]() {
-        current.push_back(field);
-        field.clear();
-        field_started = false;
-    };
-    auto end_record = [&]() {
-        if (field_started || !field.empty() || !current.empty()) {
-            end_field();
-            records.push_back(current);
-            current.clear();
-        }
-    };
-
-    for (size_t i = 0; i < text.size(); ++i) {
-        char c = text[i];
-        if (in_quotes) {
-            if (c == '"') {
-                if (i + 1 < text.size() && text[i + 1] == '"') {
-                    field.push_back('"');
-                    ++i;
-                } else {
-                    in_quotes = false;
-                }
-            } else {
-                field.push_back(c);
-            }
-            continue;
-        }
-        switch (c) {
-          case '"':
-            in_quotes = true;
-            field_started = true;
-            break;
-          case ',':
-            end_field();
-            field_started = true; // next field exists even if empty
-            break;
-          case '\r':
-            break; // swallow; the \n handles record end
-          case '\n':
-            end_record();
-            break;
-          default:
-            field.push_back(c);
-            field_started = true;
-        }
+    for (size_t i = 0; i < header.size(); ++i) {
+        if (header[i] == name)
+            return i;
     }
-    end_record(); // final record without trailing newline
-    if (in_quotes)
-        throw std::runtime_error("CSV parse error: unterminated quote");
-    if (records.empty())
-        throw std::runtime_error("CSV parse error: no header row");
-
-    CsvTable table(records.front());
-    for (size_t r = 1; r < records.size(); ++r) {
-        if (records[r].size() != table.header.size()) {
-            throw std::runtime_error(
-                "CSV parse error: row " + std::to_string(r) + " has " +
-                std::to_string(records[r].size()) + " fields, expected " +
-                std::to_string(table.header.size()));
-        }
-        table.rows.push_back(std::move(records[r]));
-    }
-    return table;
+    return std::nullopt;
 }
 
-CsvTable
-CsvTable::load(const std::string &path)
+namespace
 {
-    std::ifstream in(path);
-    if (!in)
-        throw std::runtime_error("cannot open CSV file: " + path);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return parse(buf.str());
+
+/** Where walkCsv() stands inside the current field. */
+enum class Field
+{
+    /** Nothing of it read yet. */
+    Start,
+    /** Inside an unquoted field. */
+    Plain,
+    /** Inside quotes. */
+    Quoted,
+    /** A quote inside quotes: an escaped quote or the closing one. */
+    QuoteSeen,
+    /** After the closing quote. */
+    Closed,
+};
+
+} // anonymous namespace
+
+void
+walkCsv(std::istream &in, check::CheckResult &out, const CsvVisitor &visit)
+{
+    CsvRow row;
+    // Fields begun in the current record; row's vectors keep the
+    // storage of longer records so their strings are reused.
+    size_t fields = 0;
+    bool bad = false;
+    bool headerRead = false;
+    bool headerBad = false;
+    size_t width = 0;
+    Field state = Field::Start;
+    json::Location here{1, 0};
+    json::Location quoteAt;
+
+    auto beginField = [&](json::Location where) {
+        if (fields == row.cells.size()) {
+            row.cells.emplace_back();
+            row.at.emplace_back();
+        } else {
+            row.cells[fields].clear();
+        }
+        row.at[fields++] = where;
+        state = Field::Start;
+    };
+    auto syntax = [&](json::Location where, const std::string &message,
+                      const char *hint) {
+        // One finding per record: the rest of it is not trustworthy.
+        if (!bad)
+            out.report(check::Severity::Error, where, "csv-syntax", message,
+                       hint);
+        bad = true;
+    };
+    auto endRecord = [&]() {
+        row.cells.resize(fields);
+        row.at.resize(fields);
+        if (!headerRead) {
+            headerRead = true;
+            headerBad = bad;
+            width = fields;
+            if (!bad)
+                visit.header(row);
+        } else if (bad) {
+            // Its field count means nothing past the syntax error.
+        } else if (fields != width) {
+            out.report(check::Severity::Error, row.at.front(),
+                       "csv-ragged-row",
+                       "row has " + std::to_string(fields) +
+                           " fields, the header has " +
+                           std::to_string(width));
+        } else if (!headerBad) {
+            visit.row(row);
+        }
+        fields = 0;
+        bad = false;
+        state = Field::Start;
+    };
+    const char *const quoteHint =
+        "quote the whole field, and write a quote inside it as \"\"";
+
+    std::vector<char> block(1 << 16);
+    while (in.read(block.data(), static_cast<std::streamsize>(block.size())) ||
+           in.gcount() > 0) {
+        size_t got = static_cast<size_t>(in.gcount());
+        for (size_t i = 0; i < got; ++i) {
+            char c = block[i];
+            ++here.column;
+            if (state == Field::Quoted) {
+                if (c == '"')
+                    state = Field::QuoteSeen;
+                else
+                    row.cells[fields - 1].push_back(c);
+            } else if (state == Field::QuoteSeen && c == '"') {
+                row.cells[fields - 1].push_back('"');
+                state = Field::Quoted;
+            } else {
+                if (state == Field::QuoteSeen)
+                    state = Field::Closed;
+                switch (c) {
+                case ',':
+                    if (fields == 0)
+                        beginField(here);
+                    beginField({here.line, here.column + 1});
+                    break;
+                case '\n':
+                    if (fields > 0)
+                        endRecord();
+                    break;
+                case '\r':
+                    break; // swallowed; the \n ends the record
+                case '"':
+                    if (fields == 0)
+                        beginField(here);
+                    if (state == Field::Start) {
+                        state = Field::Quoted;
+                        quoteAt = here;
+                        break;
+                    }
+                    syntax(here,
+                           state == Field::Plain
+                               ? "quote inside an unquoted field"
+                               : "quote after a closing quote",
+                           quoteHint);
+                    row.cells[fields - 1].push_back(c);
+                    break;
+                default:
+                    if (fields == 0)
+                        beginField(here);
+                    if (state == Field::Closed)
+                        syntax(here, "text after a closing quote",
+                               quoteHint);
+                    row.cells[fields - 1].push_back(c);
+                    state = Field::Plain;
+                    break;
+                }
+            }
+            if (c == '\n') {
+                ++here.line;
+                here.column = 0;
+            }
+        }
+    }
+    if (state == Field::Quoted) {
+        syntax(quoteAt, "unterminated quote: the field runs to the end of "
+                        "the file",
+               quoteHint);
+    }
+    if (fields > 0)
+        endRecord();
+    if (!headerRead) {
+        out.report(check::Severity::Error, json::Location{1, 1}, "csv-empty",
+                   "no header row: the file holds no CSV record");
+    }
 }
 
 } // namespace record

@@ -1,8 +1,10 @@
 #include "record/run_log.hh"
 
+#include <cmath>
 #include <fstream>
 #include <stdexcept>
 
+#include "check/diagnostic.hh"
 #include "util/string_utils.hh"
 #include "util/time_utils.hh"
 
@@ -86,16 +88,175 @@ RunLog::primaryValues() const
 namespace
 {
 
-/** The factor columns every row starts with, before its metrics. */
-constexpr size_t kFactorColumns = 9;
+/** How the tidy CSV writes a metric value. */
+std::string
+metricCell(double value)
+{
+    return util::formatDouble(value, 9);
+}
 
-/** The tidy CSV's column names: fixed factors, then @p metrics. */
+/** A string factor: written and read back verbatim. */
+template <std::string RunRecord::*Field>
+FactorColumn
+textColumn(const char *name, const char *description)
+{
+    return {name, description,
+            [](const RunRecord &record, std::string &cell) {
+                cell = record.*Field;
+            },
+            [](const std::string &cell, RunRecord &record) {
+                record.*Field = cell;
+                return true;
+            }};
+}
+
+/** A count factor; trace replay does not read it back. */
+template <size_t RunRecord::*Field>
+FactorColumn
+countColumn(const char *name, const char *description)
+{
+    return {name, description,
+            [](const RunRecord &record, std::string &cell) {
+                cell = std::to_string(record.*Field);
+            },
+            nullptr};
+}
+
+} // anonymous namespace
+
+const std::vector<FactorColumn> &
+factorColumns()
+{
+    static const std::vector<FactorColumn> columns = {
+        countColumn<&RunRecord::run>(
+            "run", "0-based repetition index of the experiment"),
+        countColumn<&RunRecord::instance>(
+            "instance", "0-based concurrent instance index within a run"),
+        countColumn<&RunRecord::attempt>(
+            "attempt", "0-based attempt index; retried invocations log "
+                       "one row per attempt"),
+        textColumn<&RunRecord::workload>("workload",
+                                         "benchmark or function name"),
+        textColumn<&RunRecord::backend>(
+            "backend", "execution backend that served the run"),
+        textColumn<&RunRecord::machine>("machine",
+                                        "machine or worker identifier"),
+        {"day", "environment day index (simulated runs)",
+         [](const RunRecord &record, std::string &cell) {
+             cell = std::to_string(record.day);
+         },
+         nullptr},
+        {"warmup", "true for discarded warmup runs (excluded from analysis)",
+         [](const RunRecord &record, std::string &cell) {
+             cell = record.warmup ? "true" : "false";
+         },
+         [](const std::string &cell, RunRecord &record) {
+             record.warmup = cell == "true";
+             return record.warmup || cell == "false";
+         }},
+        {"failure",
+         "failure taxonomy kind: none, spawn-error, nonzero-exit, "
+         "signal-crash, timeout, unparsable-output, backend-unavailable",
+         [](const RunRecord &record, std::string &cell) {
+             cell = failureKindName(record.failure);
+         },
+         [](const std::string &cell, RunRecord &record) {
+             try {
+                 record.failure = failureKindFromName(cell);
+                 return true;
+             } catch (const std::invalid_argument &) {
+                 return false;
+             }
+         }},
+    };
+    return columns;
+}
+
+const FactorColumn *
+findFactorColumn(const std::string &name)
+{
+    for (const FactorColumn &column : factorColumns()) {
+        if (name == column.name)
+            return &column;
+    }
+    return nullptr;
+}
+
+std::string
+csvCell(const RunRecord &record, const std::string &column)
+{
+    std::string cell;
+    if (const FactorColumn *factor = findFactorColumn(column)) {
+        factor->write(record, cell);
+    } else {
+        auto it = record.metrics.find(column);
+        if (it != record.metrics.end())
+            cell = metricCell(it->second);
+    }
+    return cell;
+}
+
+void
+walkTidyCsv(std::istream &in, check::CheckResult &out,
+            check::Severity severity,
+            const std::function<void(RunRecord &&)> &visit)
+{
+    // Per header column: the factor read there, or none, and whether
+    // it is a metric.
+    std::vector<std::string> header;
+    std::vector<const FactorColumn *> factors;
+    std::vector<bool> metric;
+    CsvVisitor walk;
+    walk.header = [&](const CsvRow &row) {
+        header = row.cells;
+        for (const std::string &name : header) {
+            const FactorColumn *factor = findFactorColumn(name);
+            factors.push_back(factor && factor->read ? factor : nullptr);
+            metric.push_back(!factor);
+        }
+        for (const FactorColumn &factor : factorColumns()) {
+            if (factor.read && !findColumn(header, factor.name)) {
+                out.report(severity, row.at.front(), "csv-missing-column",
+                           std::string("no '") + factor.name + "' column");
+            }
+        }
+    };
+    walk.row = [&](const CsvRow &row) {
+        RunRecord record;
+        for (size_t i = 0; i < header.size(); ++i) {
+            const std::string &cell = row.cells[i];
+            if (factors[i] && !factors[i]->read(cell, record)) {
+                out.report(severity, row.at[i], "csv-vocabulary",
+                           header[i] + " '" + cell +
+                               "' is outside its vocabulary",
+                           std::string("field dictionary: ") +
+                               factors[i]->description);
+            } else if (metric[i] && !cell.empty()) {
+                auto value = util::parseDouble(cell);
+                if (value && std::isfinite(*value)) {
+                    record.metrics[header[i]] = *value;
+                } else {
+                    out.report(severity, row.at[i], "csv-metric",
+                               "metric '" + header[i] + "' cell '" + cell +
+                                   "' is not a finite number");
+                }
+            }
+        }
+        visit(std::move(record));
+    };
+    walkCsv(in, out, walk);
+}
+
+namespace
+{
+
+/** The tidy CSV's column names: the factors, then @p metrics. */
 std::vector<std::string>
 csvColumns(const std::vector<std::string> &metrics)
 {
-    std::vector<std::string> columns = {
-        "run",     "instance", "attempt", "workload", "backend",
-        "machine", "day",      "warmup",  "failure"};
+    std::vector<std::string> columns;
+    for (const FactorColumn &column : factorColumns())
+        columns.push_back(column.name);
     columns.insert(columns.end(), metrics.begin(), metrics.end());
     return columns;
 }
@@ -109,21 +270,14 @@ void
 formatRow(const RunRecord &record, const std::vector<std::string> &metrics,
           std::vector<std::string> &cells)
 {
-    cells.resize(kFactorColumns + metrics.size());
-    cells[0] = std::to_string(record.run);
-    cells[1] = std::to_string(record.instance);
-    cells[2] = std::to_string(record.attempt);
-    cells[3] = record.workload;
-    cells[4] = record.backend;
-    cells[5] = record.machine;
-    cells[6] = std::to_string(record.day);
-    cells[7] = record.warmup ? "true" : "false";
-    cells[8] = failureKindName(record.failure);
+    const std::vector<FactorColumn> &factors = factorColumns();
+    cells.resize(factors.size() + metrics.size());
+    for (size_t i = 0; i < factors.size(); ++i)
+        factors[i].write(record, cells[i]);
     for (size_t i = 0; i < metrics.size(); ++i) {
         auto it = record.metrics.find(metrics[i]);
-        cells[kFactorColumns + i] = it != record.metrics.end()
-                                        ? util::formatDouble(it->second, 9)
-                                        : "";
+        cells[factors.size() + i] =
+            it != record.metrics.end() ? metricCell(it->second) : "";
     }
 }
 
@@ -160,22 +314,8 @@ RunLog::toMetadata() const
         sut.addToMetadata(doc);
 
     const std::string fields = "Field Dictionary";
-    doc.set(fields, "run", "0-based repetition index of the experiment");
-    doc.set(fields, "instance",
-            "0-based concurrent instance index within a run");
-    doc.set(fields, "attempt",
-            "0-based attempt index; retried invocations log one row "
-            "per attempt");
-    doc.set(fields, "workload", "benchmark or function name");
-    doc.set(fields, "backend", "execution backend that served the run");
-    doc.set(fields, "machine", "machine or worker identifier");
-    doc.set(fields, "day", "environment day index (simulated runs)");
-    doc.set(fields, "warmup",
-            "true for discarded warmup runs (excluded from analysis)");
-    doc.set(fields, "failure",
-            "failure taxonomy kind: none, spawn-error, nonzero-exit, "
-            "signal-crash, timeout, unparsable-output, "
-            "backend-unavailable");
+    for (const FactorColumn &column : factorColumns())
+        doc.set(fields, column.name, column.description);
     for (const auto &metric : metricNames()) {
         auto it = metricDocs.find(metric);
         doc.set(fields, metric,

@@ -10,6 +10,8 @@
 #ifndef SHARP_RECORD_RUN_LOG_HH
 #define SHARP_RECORD_RUN_LOG_HH
 
+#include <functional>
+#include <istream>
 #include <map>
 #include <string>
 #include <vector>
@@ -21,6 +23,12 @@
 
 namespace sharp
 {
+namespace check
+{
+class CheckResult;
+enum class Severity;
+} // namespace check
+
 namespace record
 {
 
@@ -51,6 +59,55 @@ struct RunRecord
     /** Convenience: true when the invocation did not fail. */
     bool succeeded() const { return failure == FailureKind::None; }
 };
+
+/**
+ * One factor column of the tidy CSV: the nine columns every row
+ * starts with, before its metrics. The writer, the metadata's field
+ * dictionary, trace replay and `sharp check` all read this one table.
+ */
+struct FactorColumn
+{
+    /** Column name. */
+    const char *name;
+    /** Its entry in the metadata's field dictionary. */
+    const char *description;
+    /** Write the cell the tidy CSV holds for @p record into @p cell. */
+    void (*write)(const RunRecord &record, std::string &cell);
+    /**
+     * Read @p cell back into @p record, as trace replay does; nullptr
+     * for a column replay does not read.
+     * @return false for a cell outside the column's vocabulary.
+     */
+    bool (*read)(const std::string &cell, RunRecord &record);
+};
+
+/** The factor columns, in the order every tidy row starts with. */
+const std::vector<FactorColumn> &factorColumns();
+
+/** The factor column named @p name; nullptr for a metric column. */
+const FactorColumn *findFactorColumn(const std::string &name);
+
+/**
+ * The cell the tidy CSV holds for @p record under @p column: the
+ * factor as written, the metric as written, or empty when the record
+ * has no such metric.
+ */
+std::string csvCell(const RunRecord &record, const std::string &column);
+
+/**
+ * Read a tidy CSV's rows back into records through walkCsv(): the
+ * factor columns with a FactorColumn::read, and every metric column
+ * (an empty cell is an absent metric); `run`, `instance`, `attempt`
+ * and `day` are not read. Reported at @p severity: a missing column
+ * that is read (`csv-missing-column`, at the header), a factor cell
+ * outside its vocabulary (`csv-vocabulary`) and a metric cell that is
+ * not a finite number (`csv-metric`), each at its cell. Trace replay
+ * reads with errors, `sharp check` with warnings. Every row the walk
+ * visits goes to @p visit. Never throws (@p visit may).
+ */
+void walkTidyCsv(std::istream &in, check::CheckResult &out,
+                 check::Severity severity,
+                 const std::function<void(RunRecord &&)> &visit);
 
 /**
  * Accumulates run records and writes the paired CSV + metadata files.

@@ -388,6 +388,78 @@ TEST(Fixtures, StaleBaselineCellWarnsAndMissingCellErrors)
               std::string::npos);
 }
 
+// ---- Tidy CSV fixtures: the walk's errors and the row rule's warnings.
+
+TEST(Fixtures, RaggedCsvRowIsLocatedAtItsLineNotItsRowIndex)
+{
+    CheckResult result;
+    ArtifactKind kind =
+        check::checkArtifactFile(fixture("ragged_row.csv"), result);
+    EXPECT_EQ(kind, ArtifactKind::TidyCsv);
+    EXPECT_EQ(result.exitCode(), 2);
+    ASSERT_EQ(result.diagnostics().size(), 1u) << result.renderText();
+    const check::Diagnostic *ragged = findRule(result, "csv-ragged-row");
+    ASSERT_NE(ragged, nullptr);
+    EXPECT_EQ(ragged->severity, Severity::Error);
+    // Data row 4 starts on line 6: a quoted field above spans two lines.
+    EXPECT_EQ(ragged->line, 6u);
+    EXPECT_EQ(ragged->column, 1u);
+}
+
+TEST(Fixtures, UnterminatedCsvQuoteIsLocatedAtItsOpeningQuote)
+{
+    CheckResult result;
+    check::checkArtifactFile(fixture("unterminated_quote.csv"), result);
+    EXPECT_EQ(result.exitCode(), 2);
+    ASSERT_EQ(result.diagnostics().size(), 1u) << result.renderText();
+    const check::Diagnostic *syntax = findRule(result, "csv-syntax");
+    ASSERT_NE(syntax, nullptr);
+    EXPECT_EQ(syntax->severity, Severity::Error);
+    EXPECT_EQ(syntax->line, 3u);
+    EXPECT_EQ(syntax->column, 7u);
+    EXPECT_NE(syntax->message.find("unterminated quote"), std::string::npos);
+}
+
+TEST(Fixtures, StrayCsvQuoteIsLocatedAtTheQuote)
+{
+    CheckResult result;
+    check::checkArtifactFile(fixture("stray_quote.csv"), result);
+    EXPECT_EQ(result.exitCode(), 2);
+    ASSERT_EQ(result.diagnostics().size(), 1u) << result.renderText();
+    const check::Diagnostic *syntax = findRule(result, "csv-syntax");
+    ASSERT_NE(syntax, nullptr);
+    EXPECT_EQ(syntax->severity, Severity::Error);
+    EXPECT_EQ(syntax->line, 3u);
+    EXPECT_EQ(syntax->column, 9u);
+}
+
+TEST(Fixtures, CsvVocabularyAndMetricCellsAreLocatedWarnings)
+{
+    CheckResult result;
+    check::checkArtifactFile(fixture("csv_vocabulary.csv"), result);
+    EXPECT_EQ(result.exitCode(), 1);
+    // An empty metric cell means "absent" and gets no finding.
+    ASSERT_EQ(result.diagnostics().size(), 3u) << result.renderText();
+    struct Pin
+    {
+        const char *rule;
+        size_t line;
+        size_t column;
+        const char *cell;
+    };
+    const Pin pins[] = {{"csv-vocabulary", 3, 26, "'yes'"},
+                        {"csv-vocabulary", 4, 32, "'crash'"},
+                        {"csv-metric", 5, 37, "'fast'"}};
+    for (size_t i = 0; i < 3; ++i) {
+        const check::Diagnostic &finding = result.diagnostics()[i];
+        EXPECT_EQ(finding.severity, Severity::Warning);
+        EXPECT_EQ(finding.rule, pins[i].rule);
+        EXPECT_EQ(finding.line, pins[i].line);
+        EXPECT_EQ(finding.column, pins[i].column);
+        EXPECT_NE(finding.message.find(pins[i].cell), std::string::npos);
+    }
+}
+
 TEST(CheckMetadata, WarnsWhenCachedRuleRanWithEngineDisabled)
 {
     // Metadata recorded with the statistics engine switched off, from
@@ -1106,6 +1178,87 @@ TEST(CliCheck, DirectoryExpansionNotesSkippedFiles)
     EXPECT_EQ(result.status, 0) << result.out;
     EXPECT_NE(result.out.find("skipped 1 non-artifact file"),
               std::string::npos);
+}
+
+TEST(CliCheck, TidyCsvIsKnownByItsHeaderAndOtherCsvsAreNoted)
+{
+    auto ragged = runCheck({"check", fixture("ragged_row.csv")});
+    EXPECT_EQ(ragged.status, 2);
+    EXPECT_NE(ragged.out.find("ragged_row.csv:6:1: error: "),
+              std::string::npos)
+        << ragged.out;
+
+    // A calibrate --out CSV is no artifact: a note, exit 0.
+    std::filesystem::path dir =
+        std::filesystem::temp_directory_path() / "sharp_check_csvs";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    std::string base = (dir / "calib").string();
+    ASSERT_EQ(runCheck({"calibrate", "--rules", "fixed", "--distributions",
+                        "normal", "--seeds", "2", "--max", "100", "--out",
+                        base})
+                  .status,
+              0);
+    auto calib = runCheck({"check", base + ".csv"});
+    EXPECT_EQ(calib.status, 0) << calib.out;
+    EXPECT_NE(calib.out.find("calib.csv: note: not a tidy CSV"),
+              std::string::npos)
+        << calib.out;
+
+    // `check DIR` checks its CSVs: a tidy one under any name, the
+    // calibration one noted; the .json beside it is checked as ever.
+    std::ofstream(dir / "run.csv")
+        << "run,instance,attempt,workload,backend,machine,day,warmup,"
+           "failure,execution_time\n0,0,0,bfs,sim,machine1,0,false,none,"
+           "1.5\n";
+    auto whole = runCheck({"check", dir.string()});
+    EXPECT_EQ(whole.status, 0) << whole.out;
+    EXPECT_NE(whole.out.find("run.csv: tidy CSV: ok"), std::string::npos)
+        << whole.out;
+    EXPECT_NE(whole.out.find("calib.csv: note:"), std::string::npos);
+    EXPECT_NE(whole.out.find("checked 3 artifacts"), std::string::npos);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(CliCheck, TraceScenarioWalksItsTrace)
+{
+    std::filesystem::path dir =
+        std::filesystem::temp_directory_path() / "sharp_check_trace";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    std::string scenario = (dir / "trace.json").string();
+    std::ofstream(scenario)
+        << R"({"schema": "sharp-scenario-v1", "name": "t",
+              "family": "trace", "trace": {"path": ")"
+        << fixture("ragged_row.csv") << R"("}})";
+    auto result = runCheck({"check", scenario});
+    EXPECT_EQ(result.status, 2) << result.out;
+    // The finding names the trace, at its line, as `run` prints it.
+    EXPECT_NE(result.out.find(fixture("ragged_row.csv") +
+                              ":6:1: error: row has 9 fields"),
+              std::string::npos)
+        << result.out;
+
+    // The shipped trace scenario walks clean.
+    auto shipped = runCheck(
+        {"check", std::string(SHARP_SOURCE_DIR) +
+                      "/scenarios/trace_replay.json"});
+    EXPECT_EQ(shipped.status, 0) << shipped.out;
+    std::filesystem::remove_all(dir);
+}
+
+TEST(CliCheck, UnknownArtifactHintNamesEveryKind)
+{
+    CheckResult result;
+    check::checkArtifactText("x.json", R"({"who": "knows"})",
+                             ArtifactKind::Unknown, result);
+    const check::Diagnostic *unknown = findRule(result, "unknown-artifact");
+    ASSERT_NE(unknown, nullptr);
+    for (int k = 0; k < static_cast<int>(ArtifactKind::Unknown); ++k) {
+        const char *name =
+            check::artifactKindName(static_cast<ArtifactKind>(k));
+        EXPECT_NE(unknown->hint.find(name), std::string::npos) << name;
+    }
 }
 
 } // anonymous namespace

@@ -17,6 +17,7 @@
 
 #include "calibrate/baseline.hh"
 #include "check/diagnostic.hh"
+#include "cli/cli.hh"
 #include "compare/bundle.hh"
 #include "compare/compare.hh"
 #include "json/parser.hh"
@@ -207,6 +208,48 @@ TEST(BaselineCapture, BundleIsByteIdenticalForAnyJobsAndAcrossRecapture)
     auto e = compare::saveBundle(loaded, (dir / "bundle_dir").string());
     EXPECT_EQ(e, (dir / "bundle_dir" / "baseline.json").string());
     EXPECT_EQ(slurp(a), slurp(e));
+}
+
+TEST(BaselineCapture, JournalAndCsvGroupAlike)
+{
+    // One campaign, journaled and written as a tidy CSV: two machines
+    // and two instances a round, so each grouping column splits it.
+    auto dir = scratchDir("capture_group");
+    std::string spec = (dir / "faas.json").string();
+    std::ofstream(spec) << R"({"backend": "faas", "workload": "bfs-CUDA",
+        "machines": ["machine1", "machine3"], "seed": 5,
+        "concurrency": 2,
+        "experiment": {"rule": "fixed", "params": {"count": 12}}})";
+    std::string base = (dir / "run").string();
+    std::ostringstream out, err;
+    ASSERT_EQ(cli::runCli({"run", "--config", spec, "--journal",
+                           base + ".jsonl", "--out", base},
+                          out, err),
+              0)
+        << err.str();
+
+    for (const char *column : {"workload", "machine", "backend", "day"}) {
+        SCOPED_TRACE(column);
+        compare::CaptureOptions options;
+        options.groupBy = column;
+        auto fromJournal =
+            compare::captureBaseline({base + ".jsonl"}, options);
+        auto fromCsv = compare::captureBaseline({base + ".csv"}, options);
+        ASSERT_EQ(fromJournal.scenarios.size(), fromCsv.scenarios.size());
+        for (size_t i = 0; i < fromCsv.scenarios.size(); ++i) {
+            EXPECT_EQ(fromJournal.scenarios[i].name,
+                      fromCsv.scenarios[i].name);
+            EXPECT_EQ(fromJournal.scenarios[i].sorted.size(),
+                      fromCsv.scenarios[i].sorted.size());
+        }
+    }
+    // A column neither holds groups every row as "all".
+    compare::CaptureOptions options;
+    options.groupBy = "nosuch";
+    EXPECT_EQ(compare::captureBaseline({base + ".jsonl"}, options)
+                  .scenarios.front()
+                  .name,
+              "all");
 }
 
 /** Capture one scenario's worth of values as a bundle. */

@@ -1,6 +1,7 @@
 /**
  * @file
- * Tests for the tidy CSV reader/writer.
+ * Tests for the tidy CSV writer and, through tests/support, the walk
+ * that reads CSV back.
  */
 
 #include <gtest/gtest.h>
@@ -9,11 +10,13 @@
 #include <filesystem>
 
 #include "record/csv.hh"
+#include "support/csv.hh"
 
 namespace
 {
 
 using namespace sharp::record;
+using namespace sharp::support;
 
 TEST(CsvQuote, OnlyWhenNeeded)
 {
@@ -48,11 +51,11 @@ TEST(CsvTable, NumericColumnSkipsNonNumbers)
     table.addRow({"oops"});
     table.addRow({"2.5"});
     table.addRow({""});
-    auto values = table.numericColumn("v");
+    auto values = numericColumn(table, "v");
     ASSERT_EQ(values.size(), 2u);
     EXPECT_DOUBLE_EQ(values[0], 1.5);
     EXPECT_DOUBLE_EQ(values[1], 2.5);
-    EXPECT_THROW(table.numericColumn("w"), std::out_of_range);
+    EXPECT_THROW(numericColumn(table, "w"), std::out_of_range);
 }
 
 TEST(CsvTable, FilteredNumericColumn)
@@ -61,7 +64,7 @@ TEST(CsvTable, FilteredNumericColumn)
     table.addRow({"bfs", "1.0"});
     table.addRow({"lud", "9.0"});
     table.addRow({"bfs", "2.0"});
-    auto bfs = table.numericColumnWhere("time", "bench", "bfs");
+    auto bfs = numericColumnWhere(table, "time", "bench", "bfs");
     ASSERT_EQ(bfs.size(), 2u);
     EXPECT_DOUBLE_EQ(bfs[1], 2.0);
 }
@@ -72,7 +75,7 @@ TEST(CsvTable, DistinctPreservesFirstAppearance)
     table.addRow({"machine3"});
     table.addRow({"machine1"});
     table.addRow({"machine3"});
-    auto distinct = table.distinct("m");
+    auto distinct = sharp::support::distinct(table, "m");
     ASSERT_EQ(distinct.size(), 2u);
     EXPECT_EQ(distinct[0], "machine3");
     EXPECT_EQ(distinct[1], "machine1");
@@ -80,7 +83,7 @@ TEST(CsvTable, DistinctPreservesFirstAppearance)
 
 TEST(CsvParse, SimpleDocument)
 {
-    CsvTable table = CsvTable::parse("a,b\n1,2\n3,4\n");
+    CsvTable table = parseCsv("a,b\n1,2\n3,4\n");
     EXPECT_EQ(table.columns().size(), 2u);
     EXPECT_EQ(table.numRows(), 2u);
     EXPECT_EQ(table.cell(0, 0), "1");
@@ -89,7 +92,7 @@ TEST(CsvParse, SimpleDocument)
 
 TEST(CsvParse, QuotedFieldsWithSeparatorsAndQuotes)
 {
-    CsvTable table = CsvTable::parse(
+    CsvTable table = parseCsv(
         "name,note\n\"bfs, cuda\",\"said \"\"fast\"\"\"\n");
     EXPECT_EQ(table.cell(0, 0), "bfs, cuda");
     EXPECT_EQ(table.cell(0, 1), "said \"fast\"");
@@ -97,26 +100,26 @@ TEST(CsvParse, QuotedFieldsWithSeparatorsAndQuotes)
 
 TEST(CsvParse, EmbeddedNewlinesInQuotes)
 {
-    CsvTable table = CsvTable::parse("a,b\n\"line1\nline2\",x\n");
+    CsvTable table = parseCsv("a,b\n\"line1\nline2\",x\n");
     EXPECT_EQ(table.cell(0, 0), "line1\nline2");
 }
 
 TEST(CsvParse, CrLfLineEndings)
 {
-    CsvTable table = CsvTable::parse("a,b\r\n1,2\r\n");
+    CsvTable table = parseCsv("a,b\r\n1,2\r\n");
     EXPECT_EQ(table.numRows(), 1u);
     EXPECT_EQ(table.cell(0, 1), "2");
 }
 
 TEST(CsvParse, MissingTrailingNewline)
 {
-    CsvTable table = CsvTable::parse("a\n1");
+    CsvTable table = parseCsv("a\n1");
     EXPECT_EQ(table.numRows(), 1u);
 }
 
 TEST(CsvParse, EmptyFieldsPreserved)
 {
-    CsvTable table = CsvTable::parse("a,b,c\n,,\n");
+    CsvTable table = parseCsv("a,b,c\n,,\n");
     EXPECT_EQ(table.numRows(), 1u);
     EXPECT_EQ(table.cell(0, 0), "");
     EXPECT_EQ(table.cell(0, 2), "");
@@ -124,9 +127,9 @@ TEST(CsvParse, EmptyFieldsPreserved)
 
 TEST(CsvParse, RejectsMalformedInput)
 {
-    EXPECT_THROW(CsvTable::parse(""), std::runtime_error);
-    EXPECT_THROW(CsvTable::parse("a,b\n\"open\n"), std::runtime_error);
-    EXPECT_THROW(CsvTable::parse("a,b\n1\n"), std::runtime_error);
+    EXPECT_THROW(parseCsv(""), std::runtime_error);
+    EXPECT_THROW(parseCsv("a,b\n\"open\n"), std::runtime_error);
+    EXPECT_THROW(parseCsv("a,b\n1\n"), std::runtime_error);
 }
 
 TEST(CsvRoundTrip, ComplexContentSurvives)
@@ -136,7 +139,7 @@ TEST(CsvRoundTrip, ComplexContentSurvives)
     table.addRow({"quote", "say \"hi\""});
     table.addRow({"newline", "x\ny"});
     table.addRow({"plain", "simple"});
-    CsvTable again = CsvTable::parse(table.toCsv());
+    CsvTable again = parseCsv(table.toCsv());
     ASSERT_EQ(again.numRows(), table.numRows());
     for (size_t r = 0; r < table.numRows(); ++r) {
         for (size_t c = 0; c < 2; ++c)
@@ -151,10 +154,10 @@ TEST(CsvFiles, SaveAndLoad)
     CsvTable table({"x"});
     table.addRow({"1"});
     table.save(path.string());
-    CsvTable loaded = CsvTable::load(path.string());
+    CsvTable loaded = loadCsv(path.string());
     EXPECT_EQ(loaded.cell(0, 0), "1");
     fs::remove(path);
-    EXPECT_THROW(CsvTable::load("/no/such/dir/file.csv"),
+    EXPECT_THROW(loadCsv("/no/such/dir/file.csv"),
                  std::runtime_error);
 }
 

@@ -26,6 +26,7 @@
 #include "sim/rodinia.hh"
 #include "stats/ecdf.hh"
 #include "stats/similarity.hh"
+#include "support/csv.hh"
 #include "support/metadata.hh"
 
 namespace
@@ -56,9 +57,9 @@ TEST(Integration, LaunchLogAnalyzeRoundTrip)
     report.log.save(base.string());
 
     // Reload and verify the data round-trips.
-    record::CsvTable csv = record::CsvTable::load(base.string() + ".csv");
-    auto measured =
-        csv.numericColumnWhere("execution_time", "warmup", "false");
+    record::CsvTable csv = support::loadCsv(base.string() + ".csv");
+    auto measured = support::numericColumnWhere(csv, "execution_time",
+                                                "warmup", "false");
     ASSERT_EQ(measured.size(), report.series.size());
 
     record::MetadataDocument doc =

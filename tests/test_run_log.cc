@@ -11,6 +11,7 @@
 #include <iterator>
 
 #include "record/run_log.hh"
+#include "support/csv.hh"
 #include "support/metadata.hh"
 
 namespace
@@ -147,10 +148,10 @@ TEST(RunLog, SaveWritesPairedFiles)
     ASSERT_TRUE(fs::exists(base.string() + ".csv"));
     ASSERT_TRUE(fs::exists(base.string() + ".md"));
 
-    CsvTable csv = CsvTable::load(base.string() + ".csv");
+    CsvTable csv = sharp::support::loadCsv(base.string() + ".csv");
     EXPECT_EQ(csv.numRows(), 6u);
-    auto times = csv.numericColumnWhere("execution_time", "warmup",
-                                        "false");
+    auto times = sharp::support::numericColumnWhere(csv, "execution_time",
+                                                    "warmup", "false");
     EXPECT_EQ(times.size(), 4u);
 
     MetadataDocument doc =

@@ -365,6 +365,64 @@ TEST(TraceReplay, VerbatimRoundTripReproducesTheTidyCsvByteForByte)
     fs::remove(scenarioPath);
 }
 
+/**
+ * Replay reads no `day` cell: a trace whose days are out of any
+ * integer's range, fractional or not numbers at all replays verbatim
+ * to the recording with the launch configuration's day.
+ */
+TEST(TraceReplay, DayCellsAreNotRead)
+{
+    launcher::ReproSpec recordSpec;
+    recordSpec.backendKind = "sim";
+    recordSpec.workload = "bfs";
+    recordSpec.machines = {"machine1"};
+    recordSpec.seed = 5;
+    recordSpec.experiment.ruleName = "fixed";
+    recordSpec.experiment.ruleParams["count"] = 12;
+    recordSpec.experiment.options.maxSamples = 12;
+    std::string recordedCsv =
+        launcher::runCampaign(recordSpec).report.log.toCsv().toCsv();
+
+    // Every row's day cell (column 7) becomes 1e300, 2.5 or abc.
+    const char *days[] = {"1e300", "2.5", "abc"};
+    std::istringstream lines(recordedCsv);
+    std::string line;
+    std::string trace;
+    for (size_t row = 0; std::getline(lines, line); ++row) {
+        if (row > 0) {
+            size_t at = 0;
+            for (int comma = 0; comma < 6; ++comma)
+                at = line.find(',', at) + 1;
+            line.replace(at, line.find(',', at) - at, days[row % 3]);
+        }
+        trace += line + "\n";
+    }
+    ASSERT_NE(trace, recordedCsv);
+    std::string tracePath = tempPath("sharp_day_trace.csv");
+    std::ofstream(tracePath, std::ios::binary) << trace;
+
+    ScenarioSpec scenario;
+    scenario.name = "days";
+    scenario.family = "trace";
+    scenario.trace.path = tracePath;
+    std::string scenarioPath = tempPath("sharp_day_scenario.json");
+    std::ofstream(scenarioPath, std::ios::binary)
+        << json::writePretty(scenario.toJson());
+
+    launcher::ReproSpec replaySpec;
+    replaySpec.backendKind = "scenario";
+    replaySpec.scenario = scenarioPath;
+    replaySpec.experiment.ruleName = "fixed";
+    replaySpec.experiment.ruleParams["count"] = 12;
+    replaySpec.experiment.options.maxSamples = 12;
+    EXPECT_EQ(
+        launcher::runCampaign(replaySpec).report.log.toCsv().toCsv(),
+        recordedCsv);
+
+    fs::remove(tracePath);
+    fs::remove(scenarioPath);
+}
+
 // ---- Suite and calibration integration.
 
 TEST(ScenarioSuite, DirectoryExpandsToOneEntryPerScenarioFile)

@@ -27,6 +27,7 @@
 #include "cli/cli.hh"
 #include "record/csv.hh"
 #include "record/journal.hh"
+#include "support/csv.hh"
 
 namespace
 {
@@ -117,7 +118,7 @@ TEST(SignalResume, SigintLeavesResumableJournal)
         EXPECT_LT(rec.run, contents.rounds);
 
     // The partial CSV written on interrupt parses.
-    auto partial = sharp::record::CsvTable::load(paths.out + ".csv");
+    auto partial = sharp::support::loadCsv(paths.out + ".csv");
     EXPECT_EQ(partial.numRows(), contents.records.size());
 
     // Resume finishes the campaign in-process.
@@ -132,9 +133,10 @@ TEST(SignalResume, SigintLeavesResumableJournal)
     EXPECT_TRUE(final_contents.done);
     EXPECT_GE(final_contents.rounds, static_cast<size_t>(target));
 
-    auto csv = sharp::record::CsvTable::load(paths.out + ".csv");
+    auto csv = sharp::support::loadCsv(paths.out + ".csv");
     EXPECT_EQ(
-        csv.numericColumnWhere("execution_time", "failure", "none")
+        sharp::support::numericColumnWhere(csv, "execution_time",
+                                           "failure", "none")
             .size(),
         static_cast<size_t>(target));
     fs::remove_all(paths.dir);

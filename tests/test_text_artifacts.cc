@@ -1,11 +1,12 @@
 /**
  * @file
  * Tests for the text artifacts `sharp` writes and reads back (run
- * journals, the serve queue journal, `.md` metadata): each has one
- * walk, shared by its loader and by `sharp check`. Everything the CLI
- * writes must check clean and load back; the loader must reject what
- * the check rejects, at the same line; and mutated bytes must end in
- * a located check::CheckFailure, never another exception.
+ * journals, the serve queue journal, `.md` metadata, the tidy CSV):
+ * each has one walk, shared by its loaders and by `sharp check`.
+ * Everything the CLI writes must check clean and load back; the loader
+ * must reject what the check rejects, at the same line; and mutated
+ * bytes must end in a located check::CheckFailure, never another
+ * exception.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 #include "check/analyzer.hh"
 #include "check/diagnostic.hh"
 #include "cli/cli.hh"
+#include "compare/bundle.hh"
 #include "launcher/reproduce.hh"
 #include "record/journal.hh"
 #include "record/metadata.hh"
@@ -179,6 +181,14 @@ TEST(TextArtifacts, EveryWrittenArtifactChecksCleanAndLoadsBack)
             run({"run", "--resume", cut, "--out", base + "_res"});
         ASSERT_EQ(resumed.status, 0) << resumed.err;
         EXPECT_NE(resumed.out.find("resumed to"), std::string::npos);
+
+        // Every tidy CSV written, checked with no finding at all.
+        CliResult csvs = run({"check", base + ".csv", base + "_rep.csv",
+                              base + "_res.csv"});
+        EXPECT_EQ(csvs.status, 0) << csvs.out;
+        EXPECT_NE(csvs.out.find("checked 3 artifacts: 0 errors, 0 warnings"),
+                  std::string::npos)
+            << csvs.out;
 
         if (!c.exact)
             continue;
@@ -412,6 +422,47 @@ TEST(TextArtifacts, LoaderErrorsNameTheirFileAndLine)
         EXPECT_EQ(failure.result().diagnostics()[0].line, 4u);
         EXPECT_EQ(failure.result().diagnostics()[0].rule, "wrong-type");
     }
+
+    // Every reader of a tidy CSV prints the finding `sharp check`
+    // prints for it, with the exit code it always had.
+    std::string ragged =
+        source("tests/fixtures/check/ragged_row.csv");
+    std::string finding = ragged + ":6:1: error: row has 9 fields, the "
+                                   "header has 10 [csv-ragged-row]";
+    std::string bundle = (dir / "bundle.json").string();
+    std::string scenario = (dir / "trace.json").string();
+    std::ofstream(scenario)
+        << R"({"schema": "sharp-scenario-v1", "name": "t",
+              "family": "trace", "trace": {"path": ")"
+        << ragged << R"("}})";
+    struct Reader
+    {
+        std::vector<std::string> argv;
+        int status;
+        /** What precedes the finding on its line. */
+        std::string prefix;
+    };
+    const std::vector<Reader> readers = {
+        {{"report", ragged}, 1, ""},
+        {{"compare", ragged, ragged}, 1, ""},
+        {{"gate", ragged, ragged}, 1, ""},
+        {{"baseline", "capture", ragged, "--out", bundle}, 2,
+         "baseline capture: "},
+        {{"compare", ragged, "--against",
+          source("tests/fixtures/compare/golden_bundle.json")},
+         2, "compare: "},
+        {{"run", "--scenario", scenario, "--rule", "fixed", "--count", "5"},
+         1, ""},
+    };
+    for (const Reader &reader : readers) {
+        SCOPED_TRACE(reader.argv[0] + " " + reader.argv[1]);
+        CliResult result = run(reader.argv);
+        EXPECT_EQ(result.status, reader.status) << result.err;
+        EXPECT_EQ(result.err.rfind(reader.prefix + finding, 0), 0u)
+            << result.err;
+    }
+    CliResult check = run({"check", ragged});
+    EXPECT_EQ(check.out.rfind(finding + "\n", 0), 0u) << check.out;
     fs::remove_all(dir);
 }
 
@@ -544,6 +595,29 @@ TEST(TextArtifacts, MutatedArtifactsFailWithLocatedDiagnostics)
          [&](const std::string &text) {
              std::ofstream(queue) << text;
              serve::readQueue(queue);
+         }},
+        {"tidy CSV", readFileText(base + ".csv"),
+         [](const std::string &text) {
+             std::istringstream in(text);
+             check::CheckResult out;
+             record::walkTidyCsv(in, out, check::Severity::Warning,
+                                 [](record::RunRecord &&) {});
+         },
+         [&](const std::string &text) {
+             std::ofstream(base + ".csv") << text;
+             // What `report`, `compare`, `gate` and `baseline capture`
+             // read.
+             try {
+                 compare::ingestCsv(base + ".csv", {});
+             } catch (const std::runtime_error &missing) {
+                 // The mutation renamed the header's metric column:
+                 // the capture has nothing to read, which is the
+                 // std::runtime_error BaselineCapture pins.
+                 EXPECT_NE(std::string(missing.what())
+                               .find("has no 'execution_time' column"),
+                           std::string::npos)
+                     << missing.what();
+             }
          }},
         {"metadata", readFileText(base + ".md"),
          [](const std::string &text) {
