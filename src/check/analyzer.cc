@@ -203,7 +203,11 @@ sniffArtifact(const std::string &path, const std::string &text,
 {
     if (util::endsWith(path, ".md") || util::startsWith(text, "# "))
         return ArtifactKind::Metadata;
-    if (startsWithTidyHeader(text))
+    // A `.csv` with no record at all is a tidy CSV that lost its
+    // header, as every CSV reader reports it (`csv-empty`).
+    if (startsWithTidyHeader(text) ||
+        (util::endsWith(path, ".csv") &&
+         text.find_first_not_of("\r\n") == std::string::npos))
         return ArtifactKind::TidyCsv;
     // Both JSONL artifacts carry their identity on line 1, whatever
     // the file is named: the queue journal a schema tag, the run

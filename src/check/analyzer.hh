@@ -73,10 +73,10 @@ const char *artifactKindName(ArtifactKind kind);
 /**
  * Guess what kind of artifact @p path with contents @p text holds.
  * Text formats first: `.md` or a `# ` title is metadata; a first line
- * that starts with the tidy CSV's factor columns is a tidy CSV; a
- * first line holding a queue schema tag is a queue journal; a `.jsonl`
- * name or a first line holding a spec header is a run journal. Then
- * content:
+ * that starts with the tidy CSV's factor columns, or a `.csv` with no
+ * line at all, is a tidy CSV; a first line holding a queue schema tag
+ * is a queue journal; a `.jsonl` name or a first line holding a spec
+ * header is a run journal. Then content:
  * a parsed @p doc (nullptr when the text is not JSON) is classified
  * by its distinguishing keys — "schema" tags a baseline, "states" a
  * workflow, "backend"/"experiment" a run spec, fault-band keys a

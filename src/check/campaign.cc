@@ -251,8 +251,13 @@ checkCampaignDir(const std::string &dir, CheckResult &out)
                 }
             }
             if (util::fileExists(csvPath)) {
+                // A tidy CSV by name, so an empty or cut-off one is
+                // read as one, not sniffed as something else.
                 handled.insert(csvPath);
-                checkArtifactFile(csvPath, out);
+                if (readArtifact(csvPath, text, out)) {
+                    checkArtifactText(csvPath, text, ArtifactKind::TidyCsv,
+                                      out);
+                }
             }
 
             if (daemon && campaign.failovers > daemon->maxFailovers) {

@@ -41,10 +41,6 @@ ingestCsv(const std::string &path, const CaptureOptions &options)
         throw std::runtime_error("cannot open CSV file: " + path);
     std::optional<size_t> metricCol, groupCol, warmupCol, failureCol;
     FileSamples out;
-    // Rows of one scenario come in runs: remember the last one's
-    // values rather than look its name up again.
-    std::string lastName;
-    std::vector<double> *last = nullptr;
     check::CheckResult findings;
     findings.setArtifact(path);
     record::CsvVisitor visit;
@@ -74,11 +70,7 @@ ingestCsv(const std::string &path, const CaptureOptions &options)
         const std::string &name =
             groupCol && !cells[*groupCol].empty() ? cells[*groupCol]
                                                   : kAllRows;
-        if (!last || name != lastName) {
-            lastName = name;
-            last = &out.byScenario[name];
-        }
-        last->push_back(*value);
+        out.byScenario[name].push_back(*value);
     };
     record::walkCsv(in, findings, visit);
     check::throwIfErrors(std::move(findings));

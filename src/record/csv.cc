@@ -17,12 +17,6 @@ CsvTable::CsvTable(std::vector<std::string> columns)
         throw std::invalid_argument("CsvTable requires >= 1 column");
 }
 
-std::optional<size_t>
-CsvTable::columnIndex(const std::string &name) const
-{
-    return findColumn(header, name);
-}
-
 void
 CsvTable::addRow(std::vector<std::string> row)
 {

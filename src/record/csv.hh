@@ -48,9 +48,6 @@ class CsvTable
     /** Column names. */
     const std::vector<std::string> &columns() const { return header; }
 
-    /** Index of column @p name, if present. */
-    std::optional<size_t> columnIndex(const std::string &name) const;
-
     /** Number of data rows. */
     size_t numRows() const { return rows.size(); }
 

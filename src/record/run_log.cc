@@ -88,11 +88,15 @@ RunLog::primaryValues() const
 namespace
 {
 
-/** How the tidy CSV writes a metric value. */
+/**
+ * How the tidy CSV writes a metric value. A NaN or infinity (a
+ * backend's output pattern can capture `nan`) is no sample to any
+ * reader, so it is written as the empty cell of an absent metric.
+ */
 std::string
 metricCell(double value)
 {
-    return util::formatDouble(value, 9);
+    return std::isfinite(value) ? util::formatDouble(value, 9) : "";
 }
 
 /** A string factor: written and read back verbatim. */

@@ -90,7 +90,7 @@ const FactorColumn *findFactorColumn(const std::string &name);
 /**
  * The cell the tidy CSV holds for @p record under @p column: the
  * factor as written, the metric as written, or empty when the record
- * has no such metric.
+ * has no such metric or holds a NaN or infinity for it.
  */
 std::string csvCell(const RunRecord &record, const std::string &column);
 

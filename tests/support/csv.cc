@@ -40,7 +40,7 @@ readCsv(std::istream &in)
 size_t
 column(const CsvTable &table, const std::string &name)
 {
-    auto index = table.columnIndex(name);
+    auto index = record::findColumn(table.columns(), name);
     if (!index)
         throw std::out_of_range("no CSV column named '" + name + "'");
     return *index;

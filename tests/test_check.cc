@@ -1145,6 +1145,37 @@ TEST(CheckCampaign, OrphanCampaignDirWarnsAndNotesSkippedFiles)
     EXPECT_EQ(result.exitCode(), 1);
 }
 
+TEST(CheckCampaign, CutOrEmptyResultCsvIsALocatedError)
+{
+    // A done campaign's result.csv cut off mid-row: the walk's ragged
+    // row, at the line the cut row starts on.
+    check::CheckResult cut = auditCampaign("truncated_result");
+    const check::Diagnostic *ragged = findRule(cut, "csv-ragged-row");
+    ASSERT_NE(ragged, nullptr) << cut.renderText();
+    EXPECT_EQ(ragged->severity, check::Severity::Error);
+    EXPECT_NE(ragged->artifact.find("c000001/result.csv"),
+              std::string::npos);
+    EXPECT_EQ(ragged->line, 5u);
+    EXPECT_EQ(ragged->column, 1u);
+    EXPECT_EQ(cut.exitCode(), 2);
+
+    // Emptied, it is read as a tidy CSV all the same: `csv-empty`.
+    std::filesystem::path dir =
+        std::filesystem::temp_directory_path() / "sharp_check_empty_result";
+    std::filesystem::remove_all(dir);
+    std::filesystem::copy(campaign("clean"), dir,
+                          std::filesystem::copy_options::recursive);
+    std::ofstream(dir / "campaigns" / "c000001" / "result.csv",
+                  std::ios::trunc);
+    check::CheckResult empty;
+    check::checkCampaignDir(dir.string(), empty);
+    const check::Diagnostic *none = findRule(empty, "csv-empty");
+    ASSERT_NE(none, nullptr) << empty.renderText();
+    EXPECT_EQ(none->severity, check::Severity::Error);
+    EXPECT_EQ(empty.exitCode(), 2);
+    std::filesystem::remove_all(dir);
+}
+
 TEST(CheckCampaign, MissingQueueJournalIsFatal)
 {
     check::CheckResult result;
@@ -1217,6 +1248,19 @@ TEST(CliCheck, TidyCsvIsKnownByItsHeaderAndOtherCsvsAreNoted)
         << whole.out;
     EXPECT_NE(whole.out.find("calib.csv: note:"), std::string::npos);
     EXPECT_NE(whole.out.find("checked 3 artifacts"), std::string::npos);
+
+    // An empty .csv is a tidy CSV with no header, to the check as to
+    // `report`: the same located csv-empty error.
+    std::string empty = (dir / "empty.csv").string();
+    std::ofstream(empty) << "\n";
+    auto checked = runCheck({"check", empty});
+    EXPECT_EQ(checked.status, 2) << checked.out;
+    const std::string finding = empty + ":1:1: error: ";
+    EXPECT_NE(checked.out.find(finding), std::string::npos) << checked.out;
+    EXPECT_NE(checked.out.find("[csv-empty]"), std::string::npos);
+    auto report = runCheck({"report", empty});
+    EXPECT_EQ(report.status, 1);
+    EXPECT_NE(report.err.find(finding), std::string::npos) << report.err;
     std::filesystem::remove_all(dir);
 }
 

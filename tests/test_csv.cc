@@ -34,8 +34,8 @@ TEST(CsvTable, BuildAndAccess)
     table.addRow({"1", "2.5"});
     EXPECT_EQ(table.numRows(), 2u);
     EXPECT_EQ(table.cell(1, 1), "2.5");
-    EXPECT_EQ(table.columnIndex("time").value(), 1u);
-    EXPECT_FALSE(table.columnIndex("nope").has_value());
+    EXPECT_EQ(findColumn(table.columns(), "time").value(), 1u);
+    EXPECT_FALSE(findColumn(table.columns(), "nope").has_value());
 }
 
 TEST(CsvTable, RejectsRaggedRows)

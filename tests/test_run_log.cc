@@ -55,12 +55,12 @@ TEST(RunLog, TidyShapeOneRowPerInstance)
     EXPECT_EQ(cols[0], "run");
     EXPECT_EQ(cols[1], "instance");
     EXPECT_EQ(cols[2], "attempt");
-    EXPECT_TRUE(csv.columnIndex("failure").has_value());
-    EXPECT_TRUE(csv.columnIndex("execution_time").has_value());
-    EXPECT_TRUE(csv.columnIndex("cold_start").has_value());
+    EXPECT_TRUE(findColumn(csv.columns(), "failure").has_value());
+    EXPECT_TRUE(findColumn(csv.columns(), "execution_time").has_value());
+    EXPECT_TRUE(findColumn(csv.columns(), "cold_start").has_value());
     // A clean log records attempt 0 and failure "none" everywhere.
-    EXPECT_EQ(csv.cell(0, *csv.columnIndex("attempt")), "0");
-    EXPECT_EQ(csv.cell(0, *csv.columnIndex("failure")), "none");
+    EXPECT_EQ(csv.cell(0, *findColumn(csv.columns(), "attempt")), "0");
+    EXPECT_EQ(csv.cell(0, *findColumn(csv.columns(), "failure")), "none");
 }
 
 TEST(RunLog, FailedAndRetriedRowsAreRecorded)
@@ -80,9 +80,9 @@ TEST(RunLog, FailedAndRetriedRowsAreRecorded)
     log.add(retried);
 
     CsvTable csv = log.toCsv();
-    EXPECT_EQ(csv.cell(0, *csv.columnIndex("failure")), "timeout");
-    EXPECT_EQ(csv.cell(1, *csv.columnIndex("attempt")), "1");
-    EXPECT_EQ(csv.cell(1, *csv.columnIndex("failure")), "none");
+    EXPECT_EQ(csv.cell(0, *findColumn(csv.columns(), "failure")), "timeout");
+    EXPECT_EQ(csv.cell(1, *findColumn(csv.columns(), "attempt")), "1");
+    EXPECT_EQ(csv.cell(1, *findColumn(csv.columns(), "failure")), "none");
     // Failed rows never contribute to the analysed series.
     auto values = log.primaryValues();
     ASSERT_EQ(values.size(), 1u);
@@ -193,7 +193,7 @@ TEST(RunLog, RecordsWithDifferentMetricSetsPadEmpty)
     b.metrics["extra"] = 2.0;
     log.add(b);
     CsvTable csv = log.toCsv();
-    auto extra_idx = csv.columnIndex("extra");
+    auto extra_idx = findColumn(csv.columns(), "extra");
     ASSERT_TRUE(extra_idx.has_value());
     EXPECT_EQ(csv.cell(0, *extra_idx), "");
     EXPECT_EQ(csv.cell(1, *extra_idx), "2");

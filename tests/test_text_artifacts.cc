@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <sstream>
 
@@ -23,6 +24,9 @@
 #include "check/diagnostic.hh"
 #include "cli/cli.hh"
 #include "compare/bundle.hh"
+#include "core/stopping/fixed_rule.hh"
+#include "launcher/launcher.hh"
+#include "launcher/local_backend.hh"
 #include "launcher/reproduce.hh"
 #include "record/journal.hh"
 #include "record/metadata.hh"
@@ -261,6 +265,57 @@ TEST(TextArtifacts, TraceReplayJournalChecksCleanAndResumes)
         run({"run", "--resume", journal, "--out", base + "_res"});
     EXPECT_EQ(resumed.status, 0) << resumed.err;
     EXPECT_EQ(readFileText(base + "_res.csv"), readFileText(base + ".csv"));
+    fs::remove_all(dir);
+}
+
+TEST(TextArtifacts, LocalNanMetricIsAnEmptyCellThatChecksAndReplays)
+{
+    // A local run whose output pattern captures `nan` for a metric
+    // that is not the primary one: the rows stay successes, and the
+    // tidy CSV holds that metric's cell empty, as for an absent
+    // metric, so the CSV checks clean and replays as a trace.
+    fs::path dir = scratch("local_nan");
+    launcher::LocalProcessBackend::Options options;
+    options.workload = "echo";
+    options.metrics = launcher::defaultMetricSpecs();
+    launcher::MetricSpec power;
+    power.name = "power";
+    power.source = launcher::MetricSource::OutputRegex;
+    power.pattern = "power: (\\S+)";
+    options.metrics.push_back(power);
+    launcher::LaunchOptions launch;
+    launch.warmupRounds = 1;
+    launcher::Launcher launcher(
+        std::make_shared<launcher::LocalProcessBackend>(
+            std::vector<std::string>{"/bin/sh", "-c", "echo power: nan"},
+            options),
+        std::make_unique<core::FixedCountRule>(4), launch);
+    launcher::LaunchReport report = launcher.launch();
+    ASSERT_EQ(report.failures, 0u);
+    std::string base = (dir / "run").string();
+    report.log.save(base);
+
+    std::vector<std::string> lines = linesOf(readFileText(base + ".csv"));
+    ASSERT_EQ(lines.size(), 6u); // the header, a warmup, 4 measured
+    EXPECT_EQ(lines[0].substr(lines[0].rfind(',')), ",power");
+    for (size_t i = 1; i < lines.size(); ++i)
+        EXPECT_EQ(lines[i].back(), ',') << lines[i];
+
+    CliResult check = run({"check", base + ".csv"});
+    EXPECT_EQ(check.status, 0) << check.out;
+    EXPECT_NE(check.out.find("0 errors, 0 warnings"), std::string::npos)
+        << check.out;
+
+    std::string scenario = (dir / "trace.json").string();
+    std::ofstream(scenario) << R"({"schema": "sharp-scenario-v1",
+        "name": "nan", "family": "trace", "trace": {"path": "run.csv",
+        "metric": "execution_time", "mode": "verbatim"}})";
+    std::string replayed = (dir / "replayed").string();
+    CliResult replay = run({"run", "--scenario", scenario, "--rule", "fixed",
+                            "--count", "4", "--out", replayed});
+    EXPECT_EQ(replay.status, 0) << replay.err;
+    CliResult again = run({"check", replayed + ".csv"});
+    EXPECT_EQ(again.status, 0) << again.out;
     fs::remove_all(dir);
 }
 
